@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark the numba kernels against the pure-numpy fallback.
 
-Times the three hot paths on representative workloads:
-  * resolvent fixed point at a low-height contour point (continuation ladder)
+Times the two patch-synthesis hot paths on representative workloads:
   * moving-average patch synthesis at matrix scale
   * bilinear patch synthesis at matrix scale
 
@@ -12,17 +11,9 @@ Run: python benchmarks/bench_kernels.py [--repeat 5]
 import argparse
 import time
 
-import numpy as np
-
 from lsdlab import _kernels as K
-from lsdlab import (
-    DensityGrid,
-    FilterCoefficients,
-    VolterraCoefficients,
-    density_from_filter,
-)
+from lsdlab import FilterCoefficients, VolterraCoefficients
 from lsdlab.simulate import generate_linear_patch, generate_volterra_patch
-from lsdlab.solver import DEFAULT_CONFIG, _run_stages, _stage_plan
 
 
 def best_of(fn, repeat):
@@ -32,30 +23,6 @@ def best_of(fn, repeat):
         fn()
         times.append(time.perf_counter() - start)
     return min(times)
-
-
-def bench_resolvent(repeat):
-    a = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
-    b = density_from_filter(a, 256)
-    bvals = np.ascontiguousarray(b.values)
-    z = 0.8 + 0.05j
-    plan = _stage_plan(z.imag, b.mass, DEFAULT_CONFIG)
-
-    def run(kernel):
-        saved = K.resolvent_iteration
-        K.resolvent_iteration = kernel
-        try:
-            _run_stages(bvals, z.real, plan, np.zeros(b.n, complex), DEFAULT_CONFIG, b.mass)
-        finally:
-            K.resolvent_iteration = saved
-
-    rows = [("resolvent ladder N=256", "numpy", best_of(lambda: run(K.resolvent_iteration_numpy), repeat))]
-    if K.HAVE_NUMBA:
-        run(K.resolvent_iteration_numba)  # compile before timing
-        rows.append(
-            ("resolvent ladder N=256", "numba", best_of(lambda: run(K.resolvent_iteration_numba), repeat))
-        )
-    return rows
 
 
 def bench_patches(repeat):
@@ -99,7 +66,7 @@ def main():
     parser.add_argument("--repeat", type=int, default=5, help="best-of repetitions")
     args = parser.parse_args()
     print(f"active backend: {K.BACKEND} (numba available: {K.HAVE_NUMBA})")
-    rows = bench_resolvent(args.repeat) + bench_patches(args.repeat)
+    rows = bench_patches(args.repeat)
     width = max(len(r[0]) for r in rows)
     print(f"\n{'workload':<{width}}  backend  best time")
     print("-" * (width + 22))

@@ -39,74 +39,6 @@ BACKEND = _pick_backend()
 
 
 # ---------------------------------------------------------------------------
-# Resolvent fixed point.
-#
-# One stage of the damped self-energy iteration on an N-node grid:
-#   g       = -1 / (z + pi)
-#   F(pi)_i = (1/N) sum_j b[i, j] g[j]
-#   pi     <- (1 - d) pi + d F(pi)
-# The stopping residual is max_i |g_i + 1/(z + F(pi)_i)|, i.e. how far the
-# current g is from solving the discretized equation with its own recomputed
-# self-energy.
-# ---------------------------------------------------------------------------
-
-
-def resolvent_iteration_numpy(b, z, pi0, damping, tol, max_iter):
-    n = b.shape[0]
-    pi = np.array(pi0, dtype=np.complex128)
-    hist = np.empty(max_iter)
-    g = -1.0 / (z + pi)
-    pi_f = (b @ g.real + 1j * (b @ g.imag)) / n
-    res = np.inf
-    for it in range(max_iter):
-        g = -1.0 / (z + pi)
-        pi_f = (b @ g.real + 1j * (b @ g.imag)) / n
-        res = float(np.abs(g + 1.0 / (z + pi_f)).max())
-        hist[it] = res
-        if res <= tol:
-            return g, pi_f, res, it + 1, hist[: it + 1].copy(), True
-        pi = (1.0 - damping) * pi + damping * pi_f
-    return g, pi_f, res, max_iter, hist.copy(), False
-
-
-def _resolvent_iteration_loops(b, z, pi0, damping, tol, max_iter):
-    # split real/imag accumulators so the matvec vectorizes under numba
-    n = b.shape[0]
-    pi = pi0.copy()
-    g = np.empty(n, np.complex128)
-    pi_f = np.empty(n, np.complex128)
-    g_re = np.empty(n)
-    g_im = np.empty(n)
-    hist = np.empty(max_iter)
-    res = np.inf
-    for it in range(max_iter):
-        for i in range(n):
-            gi = -1.0 / (z + pi[i])
-            g[i] = gi
-            g_re[i] = gi.real
-            g_im[i] = gi.imag
-        for i in range(n):
-            acc_re = 0.0
-            acc_im = 0.0
-            row = b[i]
-            for j in range(n):
-                acc_re += row[j] * g_re[j]
-                acc_im += row[j] * g_im[j]
-            pi_f[i] = complex(acc_re / n, acc_im / n)
-        res = 0.0
-        for i in range(n):
-            d = abs(g[i] + 1.0 / (z + pi_f[i]))
-            if d > res:
-                res = d
-        hist[it] = res
-        if res <= tol:
-            return g, pi_f, res, it + 1, hist[: it + 1].copy(), True
-        for i in range(n):
-            pi[i] = (1.0 - damping) * pi[i] + damping * pi_f[i]
-    return g, pi_f, res, max_iter, hist.copy(), False
-
-
-# ---------------------------------------------------------------------------
 # Moving-average field synthesis: out[i, j] = sum_{p,q} taps[p, q] innov[i+p, j+q].
 # ---------------------------------------------------------------------------
 
@@ -168,15 +100,12 @@ def _volterra_patch_loops(innov, du1, du2, dv1, dv2, coeffs, n):
 
 
 if HAVE_NUMBA:
-    resolvent_iteration_numba = njit(cache=True, fastmath=True)(_resolvent_iteration_loops)
     linear_patch_numba = njit(cache=True, fastmath=True)(_linear_patch_loops)
     volterra_patch_numba = njit(cache=True, fastmath=True)(_volterra_patch_loops)
 
 if BACKEND == "numba":
-    resolvent_iteration = resolvent_iteration_numba
     linear_patch = linear_patch_numba
     volterra_patch = volterra_patch_numba
 else:
-    resolvent_iteration = resolvent_iteration_numpy
     linear_patch = linear_patch_numpy
     volterra_patch = volterra_patch_numpy

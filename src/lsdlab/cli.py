@@ -76,15 +76,8 @@ def _threads():
         raise InvalidInput(f"LSD_LAB_THREADS must be an integer, got {raw!r}")
 
 
-def _load_density(args):
-    """Resolve the solve/density input: density CSV or model file."""
-    path = Path(args.input)
-    if not path.exists():
-        raise InvalidInput(f"no such file: {path}")
-    first = path.read_text().splitlines()[0].strip() if path.read_text() else ""
-    is_density = first.isdigit()
-    if is_density:
-        return io.read_density_csv(path), None
+def _grid_from_model(path, args):
+    """Density grid of a model file under the --grid/--volterra-radius/--symmetrize flags."""
     kind, model = io.read_model_file(path)
     if kind == "filter":
         grid = density_from_filter(model, args.grid)
@@ -93,18 +86,22 @@ def _load_density(args):
         grid = density_from_covariance(table, args.grid)
     if args.symmetrize:
         grid = symmetrize_density(grid)
-    return grid, model
+    return grid, kind
+
+
+def _load_density(args):
+    """Resolve the solve input: density CSV or model file."""
+    path = Path(args.input)
+    if not path.exists():
+        raise InvalidInput(f"no such file: {path}")
+    first = path.read_text().splitlines()[0].strip() if path.read_text() else ""
+    if first.isdigit():
+        return io.read_density_csv(path)
+    return _grid_from_model(path, args)[0]
 
 
 def cmd_density(args):
-    kind, model = io.read_model_file(args.model)
-    if kind == "filter":
-        grid = density_from_filter(model, args.grid)
-    else:
-        table = covariance_from_volterra(model, args.volterra_radius)
-        grid = density_from_covariance(table, args.grid)
-    if args.symmetrize:
-        grid = symmetrize_density(grid)
+    grid, kind = _grid_from_model(args.model, args)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     density_path = out_dir / "density.csv"
@@ -129,7 +126,7 @@ def cmd_density(args):
 
 
 def cmd_solve(args):
-    grid, _ = _load_density(args)
+    grid = _load_density(args)
     contour = parse_contour_spec(args.contour)
     cfg = io.solver_config_from_file(args.solver_config) if args.solver_config else DEFAULT_CONFIG
     if args.product_form:

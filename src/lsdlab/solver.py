@@ -14,7 +14,12 @@ The iteration contracts a priori with factor B/(Im z)^2 where B is the grid
 mass of the density. For targets with Im z <= sqrt(B) the solver first
 converges at a safe height where that factor is <= 1/4, then lowers Im z
 geometrically, warm-starting each stage (convergence below sqrt(B) is
-empirical, not certified; stage residuals are reported).
+empirical, not certified; stage residuals are reported). Inner stages stop
+at a loose residual; only the last stage of a point uses the tolerance.
+
+A contour is solved as one N x P block: every point (or chain of points
+sharing Re z) is a column with its own height, damping and tolerance, so
+one iteration is one real matrix product for the whole contour.
 """
 
 from __future__ import annotations
@@ -23,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import InvalidInput, LsdlabError, NoConvergence
 from .stieltjes import StieltjesCurve
 
@@ -199,45 +203,192 @@ def _stage_plan(im_target, mass, cfg):
     return _ladder_heights(im_target, mass, cfg)
 
 
-def _run_stages(bvals, re_z, heights, pi0, cfg, mass):
-    pi = pi0
-    total = 0
-    for idx, h in enumerate(heights):
-        z = complex(re_z, h)
-        cert = mass / (h * h)
-        d = _effective_damping(cfg, cert)
-        g, pi, res, its, hist, ok = kernels.resolvent_iteration(
-            bvals, z, pi, d, cfg.tolerance, cfg.max_iterations
-        )
-        total += its
-        if not ok:
-            raise NoConvergence(
-                f"stage {idx} at Im z = {h:.6g}: residual {res:.3e} "
-                f"after {its} iterations",
-                stage=idx,
-                height=h,
-                residual=res,
-            )
-    return g, pi, res, total, hist, len(heights)
+# Inner ladder stages only seed the next, lower stage, so they stop at this
+# residual; the last stage of every point converges to cfg.tolerance.
+_INNER_TOLERANCE = 1e-4
+
+
+def _no_convergence(z, stage, height, residual, iterations):
+    return NoConvergence(
+        f"contour point z = {z:.6g}: stage {stage} at Im z = {height:.6g}: "
+        f"residual {residual:.3e} after {iterations} iterations",
+        stage=stage,
+        height=height,
+        residual=residual,
+    )
+
+
+def _stage_tolerance(cfg, stage, heights):
+    if stage == len(heights) - 1:
+        return cfg.tolerance
+    return max(_INNER_TOLERANCE, cfg.tolerance)
+
+
+def _attempts(im_target, mass, cfg, warm):
+    """Stage heights to try in turn for one point.
+
+    A warm first attempt is one direct stage from the previous converged pi;
+    every later attempt restarts from pi = 0. A single certified-region
+    stage that stalls is retried through the full ladder.
+    """
+    plan = _stage_plan(im_target, mass, cfg)
+    attempts = [[im_target]] if warm else []
+    attempts.append(plan)
+    if len(plan) == 1:
+        attempts.append(_ladder_heights(im_target, mass, cfg))
+    return attempts
+
+
+class _Column:
+    """A chain of contour points sharing Re z, solved top-down in one block column."""
+
+    def __init__(self, points):
+        self.points = points  # indices into the contour, descending Im z
+        self.next = 0  # position in ``points`` of the point being solved
+        self.attempts = []
+        self.attempt = 0
+        self.stage = 0
+        self.count = 0  # column-iterations since the previous emitted point
+        self.history = []  # residuals of the current stage
+
+    @property
+    def heights(self):
+        return self.attempts[self.attempt]
+
+
+def _solve_block(b, zs, chains, cfg, pi0=None, history=False):
+    """Solve every chain as one column of an N x P block fixed point.
+
+    Each iteration costs one real matrix product for all columns. A column
+    runs the ladder of its chain's highest point, emits that point, then
+    runs one warm stage per lower point; finished columns leave the block.
+    ``pi0`` warm-starts the point of a one-point block. Yields
+    (point index, ResolventProfile) as points converge.
+    """
+    n, mass, budget = b.n, b.mass, cfg.max_iterations
+    bvals = np.ascontiguousarray(b.values)
+    cols = [_Column(chain) for chain in chains]
+    size = len(cols)
+    # pi, g, F(pi) and scratch; the active block is a contiguous prefix of
+    # each buffer so that g viewed as float64 is a real N x 2P matrix
+    buf = np.zeros((4, n * size), dtype=complex)
+    mag = np.empty(n * size)
+    z = np.empty(size, dtype=complex)
+    # complex weights give the same rounding as a scalar damping factor
+    damp = np.empty(size, dtype=complex)
+    rest = np.empty(size, dtype=complex)
+    tol = np.empty(size)
+    start = np.zeros(size, dtype=np.int64)  # block iteration at which each column's stage began
+    it = 0
+    if pi0 is not None:
+        buf[0].reshape(n, size)[:, 0] = pi0
+
+    def start_stage(k, col):
+        h = col.heights[col.stage]
+        d = _effective_damping(cfg, mass / (h * h))
+        z[k] = complex(zs[col.points[col.next]].real, h)
+        damp[k], rest[k] = d, 1.0 - d
+        tol[k] = _stage_tolerance(cfg, col.stage, col.heights)
+        start[k] = it
+        col.history = []
+
+    def start_point(k, col, warm):
+        col.attempts = _attempts(zs[col.points[col.next]].imag, mass, cfg, warm)
+        col.attempt = col.stage = 0
+        start_stage(k, col)
+
+    for k, col in enumerate(cols):
+        start_point(k, col, warm=pi0 is not None)
+    active, deadline = 0, budget
+    while cols:
+        if active != len(cols):
+            active = len(cols)
+            pi, g, pif, w = (a[: n * active].reshape(n, active) for a in buf)
+            absw = mag[: n * active].reshape(n, active)
+            zv, dv, rv, tv, sv = z[:active], damp[:active], rest[:active], tol[:active], start[:active]
+        np.add(pi, zv, out=w)
+        np.divide(-1.0, w, out=g)
+        np.matmul(bvals, g.view(np.float64), out=pif.view(np.float64))
+        pif /= n
+        np.add(pif, zv, out=w)
+        np.divide(1.0, w, out=w)
+        w += g
+        res = np.abs(w, out=absw).max(axis=0)
+        it += 1
+        if history:
+            for col, r in zip(cols, res):
+                col.history.append(r)
+        # one reduction catches converged columns and NaN residuals alike
+        event = it >= deadline or not (res > tv).all()
+        np.multiply(pi, rv, out=pi)
+        np.multiply(pif, dv, out=w)
+        pi += w
+        if not event:
+            continue
+        done = res <= tv
+        for k in np.flatnonzero(done | (it - sv >= budget) | ~(res < np.inf)):
+            col, stage_its = cols[k], it - int(sv[k])
+            col.count += stage_its
+            if done[k]:
+                pi[:, k] = pif[:, k]
+                if col.stage + 1 < len(col.heights):
+                    col.stage += 1
+                    start_stage(k, col)
+                    continue
+                p = col.points[col.next]
+                yield p, ResolventProfile(
+                    z=zs[p],
+                    g=g[:, k].copy(),
+                    pi=pif[:, k].copy(),
+                    iterations=col.count,
+                    residual=float(res[k]),
+                    residual_history=col.history if history else None,
+                    stages=len(col.heights),
+                )
+                col.count = 0
+                col.next += 1
+                if col.next < len(col.points):
+                    start_point(k, col, warm=True)
+                else:
+                    cols[k] = None
+            elif res[k] < np.inf and col.attempt + 1 < len(col.attempts):
+                col.attempt += 1
+                col.stage = 0
+                pi[:, k] = 0.0
+                start_stage(k, col)
+            else:
+                raise _no_convergence(
+                    zs[col.points[col.next]], col.stage, col.heights[col.stage], float(res[k]), stage_its
+                )
+        if None in cols:
+            keep = [k for k, col in enumerate(cols) if col is not None]
+            cols = [cols[k] for k in keep]
+            m = len(keep)
+            # gather through the scratch buffer: no N x P temporary
+            kept = np.take(pi, keep, axis=1, out=buf[3, : n * m].reshape(n, m), mode="clip")
+            buf[0, : n * m].reshape(n, m)[...] = kept
+            for a in (z, damp, rest, tol, start):
+                a[:m] = a[:active][keep]
+        deadline = int(start[: len(cols)].min(initial=it)) + budget
 
 
 def solve_profile(b, z, cfg=None, warm_start=None, initial_pi=None):
     """Solve the discretized self-consistent equation at one point.
 
+    This is the one-column case of the block solve in ``solve_curve``.
     ``warm_start`` may carry a profile solved at a nearby point (same grid);
     its self-energy seeds a direct solve at the target, with a cold
     continuation restart as fallback. ``initial_pi`` overrides the starting
-    iterate explicitly (it must have Im >= 0).
+    iterate explicitly (it must have Im >= 0). The profile's
+    ``residual_history`` is the trace of its final stage.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
     if z.imag <= 0:
         raise InvalidInput("Im z must be positive")
-    bvals = np.ascontiguousarray(b.values)
-    mass = b.mass
     pi0 = None
     if initial_pi is not None:
-        pi0 = np.asarray(initial_pi, dtype=complex).copy()
+        pi0 = np.asarray(initial_pi, dtype=complex)
         if pi0.shape != (b.n,):
             raise InvalidInput("initial_pi must match the grid size")
         if (pi0.imag < 0).any():
@@ -245,36 +396,9 @@ def solve_profile(b, z, cfg=None, warm_start=None, initial_pi=None):
     elif warm_start is not None:
         if warm_start.g.shape != (b.n,):
             raise InvalidInput("warm-start profile does not match the grid size")
-        pi0 = np.asarray(warm_start.pi, dtype=complex).copy()
-    if pi0 is not None:
-        try:
-            out = _run_stages(bvals, z.real, [z.imag], pi0, cfg, mass)
-            return _build_profile(z, out)
-        except NoConvergence:
-            pass
-    plan = _stage_plan(z.imag, mass, cfg)
-    cold = np.zeros(b.n, dtype=complex)
-    try:
-        out = _run_stages(bvals, z.real, plan, cold, cfg, mass)
-    except NoConvergence:
-        if len(plan) > 1:
-            raise
-        # single certified-region stage stalled: retry through the ladder
-        out = _run_stages(bvals, z.real, _ladder_heights(z.imag, mass, cfg), cold, cfg, mass)
-    return _build_profile(z, out)
-
-
-def _build_profile(z, out):
-    g, pi, res, total, hist, stages = out
-    return ResolventProfile(
-        z=z,
-        g=g,
-        pi=pi,
-        iterations=total,
-        residual=res,
-        residual_history=hist,
-        stages=stages,
-    )
+        pi0 = warm_start.pi
+    ((_, profile),) = _solve_block(b, [z], [[0]], cfg, pi0=pi0, history=True)
+    return profile
 
 
 def measured_decay_ratio(profile, window=10):
@@ -288,11 +412,13 @@ def measured_decay_ratio(profile, window=10):
 
 
 def solve_curve(b, contour, cfg=None, warm_start=True):
-    """Solve S(z) along a contour, warm-starting down vertical chains.
+    """Solve S(z) along a contour as one block fixed point.
 
-    Points are processed in (descending Im z, ascending Re z) order; points
-    sharing a real part form a chain in which each solve seeds the next.
-    Chains are independent, so results do not depend on their interleaving.
+    Points sharing a real part form a chain, solved top-down in one block
+    column where each converged point seeds the next; ``warm_start=False``
+    makes every point its own chain. Columns are independent, so results do
+    not depend on how chains share the block. Points come back in
+    (descending Im z, ascending Re z) order.
     """
     cfg = cfg or DEFAULT_CONFIG
     pts = [complex(p) for p in np.asarray(contour, dtype=complex).ravel()]
@@ -301,58 +427,46 @@ def solve_curve(b, contour, cfg=None, warm_start=True):
     if any(p.imag <= 0 for p in pts):
         raise InvalidInput("contour points must have Im z > 0")
     order = sorted(range(len(pts)), key=lambda i: (-pts[i].imag, pts[i].real))
-    previous_in_chain = {}
-    profiles = [None] * len(pts)
+    chains = {}
     for i in order:
-        zp = pts[i]
-        seed = previous_in_chain.get(zp.real) if warm_start else None
-        try:
-            prof = solve_profile(b, zp, cfg, warm_start=seed)
-        except NoConvergence as exc:
-            raise NoConvergence(
-                f"contour point z = {zp:.6g}: {exc}",
-                stage=exc.stage,
-                height=exc.height,
-                residual=exc.residual,
-            ) from exc
-        profiles[i] = prof
-        previous_in_chain[zp.real] = prof
-    ordered = [profiles[i] for i in order]
+        chains.setdefault(pts[i].real if warm_start else i, []).append(i)
+    S = np.empty(len(pts), dtype=complex)
+    iterations = np.empty(len(pts), dtype=np.int64)
+    residuals = np.empty(len(pts))
+    for i, prof in _solve_block(b, pts, list(chains.values()), cfg):
+        S[i], iterations[i], residuals[i] = prof.S, prof.iterations, prof.residual
     return StieltjesCurve(
-        z=np.array([p.z for p in ordered]),
-        S=np.array([p.S for p in ordered]),
-        iterations=np.array([p.iterations for p in ordered], dtype=np.int64),
-        residuals=np.array([p.residual for p in ordered]),
+        z=np.array(pts)[order],
+        S=S[order],
+        iterations=iterations[order],
+        residuals=residuals[order],
         source="solver",
     )
 
 
 def _scalar_stage(t, z, v, damping, tol, max_iter):
     res = np.inf
-    for it in range(max_iter):
+    for it in range(1, max_iter + 1):
         f = complex(-np.mean(t / (z + t * v)))
         res = abs(f - v)
         if res <= tol:
-            return f, res, it + 1, True
+            return f, res, it, True
+        if not res < np.inf:
+            break
         v = (1.0 - damping) * v + damping * f
-    return v, res, max_iter, False
+    return v, res, it, False
 
 
-def _run_scalar_stages(t, re_z, heights, v0, cfg, m2):
+def _run_scalar_stages(t, z, heights, v0, cfg, m2):
     v = v0
     total = 0
     for idx, h in enumerate(heights):
-        z = complex(re_z, h)
         d = _effective_damping(cfg, m2 / (h * h))
-        v, res, its, ok = _scalar_stage(t, z, v, d, cfg.tolerance, cfg.max_iterations)
+        tol = _stage_tolerance(cfg, idx, heights)
+        v, res, its, ok = _scalar_stage(t, complex(z.real, h), v, d, tol, cfg.max_iterations)
         total += its
         if not ok:
-            raise NoConvergence(
-                f"stage {idx} at Im z = {h:.6g}: residual {res:.3e} after {its} iterations",
-                stage=idx,
-                height=h,
-                residual=res,
-            )
+            raise _no_convergence(z, idx, h, res, its)
     return v, res, total
 
 
@@ -370,13 +484,11 @@ def solve_product_form(t, z, cfg=None):
     m2 = float(np.mean(tv * tv))
     plan = [z.imag] if (m2 == 0.0 or z.imag > np.sqrt(m2)) else _ladder_heights(z.imag, m2, cfg)
     try:
-        v, res, total = _run_scalar_stages(tv, z.real, plan, 0j, cfg, m2)
+        v, res, total = _run_scalar_stages(tv, z, plan, 0j, cfg, m2)
     except NoConvergence:
         if len(plan) > 1:
             raise
-        v, res, total = _run_scalar_stages(
-            tv, z.real, _ladder_heights(z.imag, m2, cfg), 0j, cfg, m2
-        )
+        v, res, total = _run_scalar_stages(tv, z, _ladder_heights(z.imag, m2, cfg), 0j, cfg, m2)
     mean_t = float(tv.mean())
     if v.imag < -1e-15 * (1.0 + abs(v)):
         raise LsdlabError("scalar solver postcondition failed: Im v >= 0")

@@ -192,6 +192,8 @@ class DensityGrid:
         v = np.asarray(self.values, dtype=float)
         if self.n < 1 or v.shape != (self.n, self.n):
             raise InvalidInput(f"density grid must be {self.n}x{self.n}, got {v.shape}")
+        if not np.isfinite(v).all():
+            raise InvalidInput("density grid has non-finite values")
         scale = max(1.0, float(np.abs(v).max()) if v.size else 1.0)
         v = np.where((v < 0) & (v > -1e-12 * scale), 0.0, v)
         if (v < 0).any():

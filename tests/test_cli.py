@@ -182,6 +182,47 @@ class TestSolveCommand:
         assert code == 4
 
 
+    def test_product_form_no_convergence_names_the_point(self, tmp_path, capsys):
+        model = write_model(tmp_path, "0 0 1.0\n")
+        solver_cfg = tmp_path / "solver.txt"
+        solver_cfg.write_text("tolerance=1e-14\nmax_iterations=2\n")
+        code = main(
+            [
+                "solve",
+                str(model),
+                "--grid",
+                "16",
+                "--contour",
+                "im=0.05,re=0.5:0.5:1",
+                "--product-form",
+                "--solver-config",
+                str(solver_cfg),
+                "--out-dir",
+                str(tmp_path / "o"),
+            ]
+        )
+        assert code == 4
+        assert "contour point z = 0.5+0.05j" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["0 0 nan", "0 0 inf", "1 0 -inf"])
+    def test_non_finite_model_exits_2(self, tmp_path, capsys, row):
+        model = write_model(tmp_path, f"0 1 1.0\n{row}\n")
+        args = ["--grid", "16", "--out-dir", str(tmp_path / "o")]
+        contour = ["--contour", "im=0.05,re=-1:1:3"]
+        assert main(["solve", str(model), *contour, *args]) == 2
+        assert main(["density", str(model), *args]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_density_csv_exits_2(self, tmp_path, capsys):
+        grid_path = tmp_path / "density.csv"
+        grid_path.write_text("2\n1,nan\n1,1\n")
+        code = main(
+            ["solve", str(grid_path), "--contour", "im=0.05,re=-1:1:3", "--out-dir", str(tmp_path / "o")]
+        )
+        assert code == 2
+        assert "non-finite" in capsys.readouterr().err
+
+
 class TestSimulateCommand:
     def write_ensemble(self, tmp_path, n=24, replicates=2, symmetrization="wigner"):
         write_model(tmp_path, "0 0 1.0\n1 0 1.0\n")

@@ -1,8 +1,9 @@
-"""Backend equivalence: the numba kernels must reproduce the numpy fallback."""
+"""Backend equivalence of the patch kernels, and the solver's residual trace."""
 
 import numpy as np
 import pytest
 
+from lsdlab import DensityGrid, SolverConfig, solve_profile
 from lsdlab import _kernels as K
 
 needs_numba = pytest.mark.skipif(not K.HAVE_NUMBA, reason="numba not installed")
@@ -20,37 +21,8 @@ def test_backend_selection_rules():
 
 def test_active_backend_matches_environment_default():
     assert K.BACKEND in ("numpy", "numba")
-    assert K.resolvent_iteration is not None
-
-
-@needs_numba
-def test_resolvent_iteration_backends_agree():
-    rng = np.random.default_rng(1)
-    n = 32
-    b = np.abs(rng.normal(size=(n, n))) + 0.1
-    z = 0.3 + 1.8j
-    pi0 = np.zeros(n, complex)
-    out_np = K.resolvent_iteration_numpy(b, z, pi0, 1.0, 1e-12, 500)
-    out_nb = K.resolvent_iteration_numba(b, z, pi0, 1.0, 1e-12, 500)
-    g_np, pi_np, res_np, it_np, hist_np, ok_np = out_np
-    g_nb, pi_nb, res_nb, it_nb, hist_nb, ok_nb = out_nb
-    assert ok_np and ok_nb
-    assert it_np == it_nb
-    assert np.abs(g_np - g_nb).max() < 1e-12
-    assert np.abs(pi_np - pi_nb).max() < 1e-12
-    assert abs(res_np - res_nb) < 1e-12
-
-
-@needs_numba
-def test_resolvent_iteration_nonconvergent_state_agrees():
-    rng = np.random.default_rng(2)
-    n = 8
-    b = np.abs(rng.normal(size=(n, n)))
-    out_np = K.resolvent_iteration_numpy(b, 0.1j, np.zeros(n, complex), 0.5, 1e-16, 7)
-    out_nb = K.resolvent_iteration_numba(b, 0.1j, np.zeros(n, complex), 0.5, 1e-16, 7)
-    assert not out_np[5] and not out_nb[5]
-    assert out_np[3] == out_nb[3] == 7
-    assert np.abs(out_np[0] - out_nb[0]).max() < 1e-12
+    assert K.linear_patch is not None
+    assert K.volterra_patch is not None
 
 
 @needs_numba
@@ -79,7 +51,7 @@ def test_volterra_patch_backends_agree():
 
 def test_residual_history_is_monotone_under_contraction():
     n = 16
-    b = np.ones((n, n))
-    out = K.resolvent_iteration_numpy(b, 3j, np.zeros(n, complex), 1.0, 1e-12, 200)
-    hist = out[4]
+    cfg = SolverConfig(tolerance=1e-12, max_iterations=200)
+    hist = solve_profile(DensityGrid(n, np.ones((n, n))), 3j, cfg).residual_history
+    assert hist.size > 2
     assert (np.diff(hist) < 0).all()

@@ -18,7 +18,8 @@ from lsdlab import (
     solve_profile,
     truncate_filter,
 )
-from lsdlab.spectral import FilterCoefficients
+from lsdlab import solver
+from lsdlab.spectral import FilterCoefficients, ProfileFunction
 
 from test_spectral import random_filter
 
@@ -121,6 +122,17 @@ class TestSolveProfile:
         assert info.value.stage is not None
         assert info.value.residual is not None
 
+    def test_stalled_warm_start_restarts_through_ladder(self):
+        # near the spectral edge a direct stage from a poor start stalls
+        b = constant_density(4.0, 16)
+        z = 4.1 + 0.01j
+        cfg = SolverConfig(max_iterations=100)
+        cold = solve_profile(b, z, cfg)
+        warm = solve_profile(b, z, cfg, initial_pi=np.full(16, 50j))
+        assert warm.stages == cold.stages > 1
+        assert warm.S == cold.S
+        assert warm.iterations == cold.iterations + cfg.max_iterations
+
     def test_continuation_engages_below_sqrt_mass(self):
         prof = solve_profile(constant_density(4.0), 0.1j)
         assert prof.stages > 1
@@ -213,6 +225,37 @@ class TestSolveCurve:
         true_density = np.sqrt(4.0 - curve.z.real[bulk] ** 2) / (2.0 * np.pi)
         assert np.abs(curve.S.imag[bulk] / np.pi - true_density).max() <= 0.02
 
+    def test_mixed_contour_matches_single_point_solves(self):
+        b = density_from_filter(random_filter(np.random.default_rng(37)), 48)
+        root = np.sqrt(b.mass)
+        contour = np.concatenate(
+            [
+                np.linspace(-2.0, 2.0, 9) + 0.05j,  # horizontal row
+                0.3 + 1j * np.geomspace(0.05, 4.0, 6),  # vertical chain
+                [-1.1 + 0.5j * root, -1.1 + 2.0j * root],  # one chain across sqrt(mass)
+                [2.7 + 0.8j],  # singleton
+            ]
+        )
+        curve = solve_curve(b, contour)
+        assert len(curve) == contour.size
+        for z, s, res in zip(curve.z, curve.S, curve.residuals):
+            assert abs(s - solve_profile(b, z, warm_start=None).S) <= 10 * 1e-10
+            assert res <= 1e-10
+
+    def test_loose_inner_stages_save_iterations(self, monkeypatch):
+        b = constant_density(4.0, 48)
+        contour = np.linspace(-3.0, 3.0, 13) + 0.1j  # below sqrt(mass) = 2: ladders
+        loose = solve_curve(b, contour)
+        monkeypatch.setattr(solver, "_INNER_TOLERANCE", 0.0)  # every stage to full tolerance
+        full = solve_curve(b, contour)
+        assert loose.iterations.sum() < full.iterations.sum()
+        assert np.abs(loose.S - full.S).max() <= 10 * 1e-10
+
+    def test_no_convergence_names_the_contour_point(self):
+        cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
+        with pytest.raises(NoConvergence, match=r"contour point z = -0\.5\+0\.05j: stage 0 at Im z"):
+            solve_curve(constant_density(1.0, 16), [0.5 + 0.05j, -0.5 + 0.05j], cfg)
+
     def test_points_come_back_sorted(self):
         b = constant_density(1.0)
         curve = solve_curve(b, [0.5 + 1j, -0.5 + 1j, 0.0 + 2j])
@@ -247,6 +290,12 @@ class TestProductForm:
             scalar = solve_product_form(t, z)
             full = solve_profile(b, z)
             assert abs(scalar.S - full.S) <= 1e-7
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_non_finite_profile_fails_fast(self):
+        t = ProfileFunction(np.array([1.0, np.nan]))
+        with pytest.raises(NoConvergence, match="after 1 iterations"):
+            solve_product_form(t, 2j)
 
     def test_scalar_invariants(self):
         rng = np.random.default_rng(31)
