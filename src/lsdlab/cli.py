@@ -5,7 +5,7 @@ runs the self-consistent solver along a contour, ``simulate`` runs a seeded
 matrix ensemble, ``compare`` computes distribution/curve distances.
 
 Exit codes: 0 ok, 1 threshold exceeded, 2 bad input, 3 not a density,
-4 solver did not converge, 5 simulation failure.
+4 solver did not converge or failed a postcondition, 5 simulation failure.
 """
 
 from __future__ import annotations
@@ -340,8 +340,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LsdlabError as exc:
+        # any other library error is a failed postcondition: solver trouble
+        # in solve, simulation trouble in simulate
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION if getattr(args, "command", None) == "simulate" else EXIT_INPUT
+        return {"solve": EXIT_SOLVER, "simulate": EXIT_SIMULATION}.get(args.command, EXIT_INPUT)
 
 
 def entry():

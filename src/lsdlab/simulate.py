@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels as kernels
 from .errors import InvalidInput, NoConvergenceEig
 from .spectral import FilterCoefficients, VolterraCoefficients, covariance_from_filter, covariance_from_volterra
 from .stieltjes import DistributionTable, StieltjesCurve, empirical_curve, table_from_samples
@@ -106,6 +105,32 @@ def _innovations(rng, shape, kind):
     raise InvalidInput(f"unknown innovation kind {kind!r}")
 
 
+def _linear_patch(innov, taps):
+    """out[i, j] = sum_{p,q} taps[p, q] innov[i+p, j+q]."""
+    k = taps.shape[0]
+    n = innov.shape[0] - k + 1
+    out = np.zeros((n, n))
+    for p in range(k):
+        for q in range(k):
+            c = taps[p, q]
+            if c != 0.0:
+                out += c * innov[p : p + n, q : q + n]
+    return out
+
+
+def _volterra_patch(innov, du1, du2, dv1, dv2, coeffs, n):
+    """out[i, j] = sum_e coeffs[e] innov[i+du1[e], j+du2[e]] innov[i+dv1[e], j+dv2[e]].
+
+    The shift arrays already absorb the padding offset.
+    """
+    out = np.zeros((n, n))
+    for e in range(coeffs.shape[0]):
+        a = innov[du1[e] : du1[e] + n, du2[e] : du2[e] + n]
+        b = innov[dv1[e] : dv1[e] + n, dv2[e] : dv2[e] + n]
+        out += coeffs[e] * a * b
+    return out
+
+
 def generate_linear_patch(a, n, seed, innovation="gaussian"):
     """Exact moving-average field on an n x n square: x[i,j] = sum a[u,v] xi[i+u, j+v]."""
     if n < 1:
@@ -113,7 +138,7 @@ def generate_linear_patch(a, n, seed, innovation="gaussian"):
     rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
     size = n + 2 * a.m
     innov = _innovations(rng, (size, size), innovation)
-    return kernels.linear_patch(innov, np.ascontiguousarray(a.coeffs))
+    return _linear_patch(innov, np.ascontiguousarray(a.coeffs))
 
 
 def generate_volterra_patch(bv, n, seed):
@@ -132,7 +157,7 @@ def generate_volterra_patch(bv, n, seed):
     du2 = np.ascontiguousarray(pad - us[:, 1])
     dv1 = np.ascontiguousarray(pad - us[:, 2])
     dv2 = np.ascontiguousarray(pad - us[:, 3])
-    return kernels.volterra_patch(innov, du1, du2, dv1, dv2, coeffs, n)
+    return _volterra_patch(innov, du1, du2, dv1, dv2, coeffs, n)
 
 
 def assemble_matrix(patch, symmetrization):

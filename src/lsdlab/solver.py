@@ -16,6 +16,9 @@ converges at a safe height where that factor is <= 1/4, then lowers Im z
 geometrically, warm-starting each stage (convergence below sqrt(B) is
 empirical, not certified; stage residuals are reported). Inner stages stop
 at a loose residual; only the last stage of a point uses the tolerance.
+Uncertified stages accelerate the damped update with Anderson mixing of
+depth 1, accepting a mixed step only if it keeps Im pi >= 0; certified
+stages run the plain update, whose rate the certificate bounds.
 
 A contour is solved as one N x P block: every point (or chain of points
 sharing Re z) is a column with its own height, damping and tolerance, so
@@ -269,27 +272,30 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False):
     bvals = np.ascontiguousarray(b.values)
     cols = [_Column(chain) for chain in chains]
     size = len(cols)
-    # pi, g, F(pi) and scratch; the active block is a contiguous prefix of
+    # pi, g, F(pi), two scratch rows, and the previous step f and update G
+    # of the Anderson mixing; the active block is a contiguous prefix of
     # each buffer so that g viewed as float64 is a real N x 2P matrix
-    buf = np.zeros((4, n * size), dtype=complex)
-    mag = np.empty(n * size)
+    buf = np.zeros((7, n * size), dtype=complex)
     z = np.empty(size, dtype=complex)
     # complex weights give the same rounding as a scalar damping factor
     damp = np.empty(size, dtype=complex)
     rest = np.empty(size, dtype=complex)
     tol = np.empty(size)
     start = np.zeros(size, dtype=np.int64)  # block iteration at which each column's stage began
+    mixed = np.zeros(size, dtype=bool)  # stage outside the certified region
     it = 0
     if pi0 is not None:
         buf[0].reshape(n, size)[:, 0] = pi0
 
     def start_stage(k, col):
         h = col.heights[col.stage]
-        d = _effective_damping(cfg, mass / (h * h))
+        cert = mass / (h * h)
+        d = _effective_damping(cfg, cert)
         z[k] = complex(zs[col.points[col.next]].real, h)
         damp[k], rest[k] = d, 1.0 - d
         tol[k] = _stage_tolerance(cfg, col.stage, col.heights)
-        start[k] = it
+        start[k] = it  # also resets the column's mixing history
+        mixed[k] = cert >= 1.0
         col.history = []
 
     def start_point(k, col, warm):
@@ -299,13 +305,15 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False):
 
     for k, col in enumerate(cols):
         start_point(k, col, warm=pi0 is not None)
+    mixing = bool(mixed.any())
     active, deadline = 0, budget
     while cols:
         if active != len(cols):
             active = len(cols)
-            pi, g, pif, w = (a[: n * active].reshape(n, active) for a in buf)
-            absw = mag[: n * active].reshape(n, active)
+            pi, g, pif, w, s, fp, gp = (a[: n * active].reshape(n, active) for a in buf)
+            absw = buf[4].view(np.float64)[: n * active].reshape(n, active)
             zv, dv, rv, tv, sv = z[:active], damp[:active], rest[:active], tol[:active], start[:active]
+            mv = mixed[:active]
         np.add(pi, zv, out=w)
         np.divide(-1.0, w, out=g)
         np.matmul(bvals, g.view(np.float64), out=pif.view(np.float64))
@@ -320,9 +328,33 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False):
                 col.history.append(r)
         # one reduction catches converged columns and NaN residuals alike
         event = it >= deadline or not (res > tv).all()
+        if mixing:
+            # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from
+            # the step f = G - pi (in w) and df = f - f_prev (in fp)
+            np.subtract(pif, pi, out=w)
+            w *= dv
+            np.subtract(w, fp, out=fp)
+            np.conjugate(fp, out=s)
+            s *= w
+            num = s.sum(axis=0)
+            sq = fp.view(np.float64)
+            sq *= sq
+            den = sq.sum(axis=0).reshape(active, 2).sum(axis=1)
+            fp[...] = w
         np.multiply(pi, rv, out=pi)
         np.multiply(pif, dv, out=w)
         pi += w
+        if mixing:
+            # candidate G - gamma (dpi + df), where dpi + df = G - G_prev;
+            # an uncertified column with a previous step in its stage takes
+            # it if it keeps Im pi >= 0, every other column keeps G
+            np.subtract(pi, gp, out=w)
+            gp[...] = pi
+            take = mv & (it - sv >= 2) & (den > 0)
+            w *= np.divide(num, den, out=np.zeros_like(num), where=take)
+            np.subtract(pi, w, out=w)
+            take &= (w.imag >= 0).all(axis=0)
+            np.copyto(pi, w, where=take)
         if not event:
             continue
         done = res <= tv
@@ -364,11 +396,13 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False):
             keep = [k for k, col in enumerate(cols) if col is not None]
             cols = [cols[k] for k in keep]
             m = len(keep)
-            # gather through the scratch buffer: no N x P temporary
-            kept = np.take(pi, keep, axis=1, out=buf[3, : n * m].reshape(n, m), mode="clip")
-            buf[0, : n * m].reshape(n, m)[...] = kept
-            for a in (z, damp, rest, tol, start):
+            # gather the persistent rows through the scratch buffer: no N x P temporary
+            for row, a in ((0, pi), (5, fp), (6, gp)):
+                kept = np.take(a, keep, axis=1, out=buf[3, : n * m].reshape(n, m), mode="clip")
+                buf[row, : n * m].reshape(n, m)[...] = kept
+            for a in (z, damp, rest, tol, start, mixed):
                 a[:m] = a[:active][keep]
+        mixing = bool(mixed[: len(cols)].any())
         deadline = int(start[: len(cols)].min(initial=it)) + budget
 
 
@@ -402,7 +436,11 @@ def solve_profile(b, z, cfg=None, warm_start=None, initial_pi=None):
 
 
 def measured_decay_ratio(profile, window=10):
-    """Geometric-mean residual decay over the last ``window`` iterations."""
+    """Geometric-mean residual decay over the last ``window`` iterations.
+
+    This is the decay of the plain damped map only when the final stage is
+    certified (B/(Im z)^2 < 1); uncertified stages are Anderson-mixed.
+    """
     h = np.asarray(profile.residual_history, dtype=float)
     h = h[h > 0]
     if h.size < 2:
@@ -445,14 +483,26 @@ def solve_curve(b, contour, cfg=None, warm_start=True):
 
 
 def _scalar_stage(t, z, v, damping, tol, max_iter):
+    """Newton's method on v - f(v) = 0, f(v) = -mean(t/(z + t v)).
+
+    f'(v) = mean((t/(z + t v))^2). A Newton point that is not finite or
+    leaves the upper half-plane is replaced by the damped step.
+    """
     res = np.inf
     for it in range(1, max_iter + 1):
-        f = complex(-np.mean(t / (z + t * v)))
+        q = t / (z + t * v)
+        f = complex(-np.mean(q))
         res = abs(f - v)
         if res <= tol:
             return f, res, it, True
         if not res < np.inf:
             break
+        slope = 1.0 - complex(np.mean(q * q))
+        if slope != 0:  # complex division by zero raises
+            newton = v - (v - f) / slope
+            if newton.imag >= 0 and abs(newton) < np.inf:
+                v = newton
+                continue
         v = (1.0 - damping) * v + damping * f
     return v, res, it, False
 

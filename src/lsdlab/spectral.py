@@ -68,6 +68,8 @@ class FilterCoefficients:
         side = 2 * self.m + 1
         if c.shape != (side, side):
             raise InvalidInput(f"coefficient table must be {side}x{side}, got {c.shape}")
+        if not np.isfinite(c).all():
+            raise InvalidInput("filter coefficients have non-finite values")
         object.__setattr__(self, "coeffs", _readonly(c))
         object.__setattr__(self, "sum_squares", float(np.sum(c * c)))
 
@@ -108,6 +110,8 @@ class VolterraCoefficients:
     innovation_variance: float = 1.0
 
     def __post_init__(self):
+        if not np.isfinite(self.innovation_variance):
+            raise InvalidInput("innovation variance is non-finite")
         if self.innovation_variance <= 0:
             raise InvalidInput("innovation variance must be positive")
         cleaned = {}
@@ -115,6 +119,8 @@ class VolterraCoefficients:
             u = (int(u[0]), int(u[1]))
             v = (int(v[0]), int(v[1]))
             val = float(val)
+            if not np.isfinite(val):
+                raise InvalidInput(f"bilinear coefficient b[{u},{v}] is non-finite")
             if val == 0.0:
                 continue
             if u == v:
@@ -152,6 +158,8 @@ class CovarianceTable:
         side = 2 * self.radius + 1
         if g.shape != (side, side):
             raise InvalidInput(f"covariance table must be {side}x{side}, got {g.shape}")
+        if not np.isfinite(g).all():
+            raise InvalidInput("covariance table has non-finite values")
         scale = 1.0 + abs(float(g[self.radius, self.radius]))
         if not np.allclose(g, g[::-1, ::-1], atol=1e-10 * scale, rtol=0.0):
             raise InvalidInput("covariance table violates gamma[k,l] == gamma[-k,-l]")
@@ -218,6 +226,8 @@ class ProfileFunction:
         t = np.asarray(self.values, dtype=float)
         if t.ndim != 1 or t.size < 1:
             raise InvalidInput("profile must be a nonempty 1-D array")
+        if not np.isfinite(t).all():
+            raise InvalidInput("profile has non-finite values")
         if (t < 0).any():
             raise InvalidInput("profile values must be nonnegative")
         object.__setattr__(self, "values", _readonly(t))

@@ -5,7 +5,7 @@ import pytest
 
 from lsdlab import DensityGrid, io
 from lsdlab.cli import _threads, main, parse_contour_spec
-from lsdlab.errors import InvalidInput
+from lsdlab.errors import InvalidInput, LsdlabError
 
 
 def write_model(tmp_path, text, name="model.txt"):
@@ -212,6 +212,28 @@ class TestSolveCommand:
         assert main(["solve", str(model), *contour, *args]) == 2
         assert main(["density", str(model), *args]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    def test_non_finite_bilinear_coefficient_exits_2(self, tmp_path, capsys, recwarn):
+        model = write_model(tmp_path, "0 0 1 0 nan\n")
+        args = ["--grid", "16", "--out-dir", str(tmp_path / "o")]
+        assert main(["solve", str(model), "--contour", "im=0.05,re=-1:1:3", *args]) == 2
+        assert main(["density", str(model), *args]) == 2
+        err = capsys.readouterr().err
+        assert err.count("bilinear coefficient b[(0, 0),(1, 0)] is non-finite") == 2
+        assert "gamma" not in err
+        assert not recwarn.list
+
+    def test_solver_postcondition_failure_exits_4(self, tmp_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise LsdlabError("solver postcondition failed: Im g > 0")
+
+        monkeypatch.setattr("lsdlab.cli.solve_curve", broken)
+        model = write_model(tmp_path, "0 0 1.0\n")
+        code = main(
+            ["solve", str(model), "--grid", "16", "--contour", "im=1,re=0:0:1", "--out-dir", str(tmp_path / "o")]
+        )
+        assert code == 4
+        assert "solver postcondition failed: Im g > 0" in capsys.readouterr().err
 
     def test_non_finite_density_csv_exits_2(self, tmp_path, capsys):
         grid_path = tmp_path / "density.csv"

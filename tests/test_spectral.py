@@ -7,6 +7,7 @@ from lsdlab import (
     FilterCoefficients,
     InvalidInput,
     NotADensity,
+    ProfileFunction,
     VolterraCoefficients,
     covariance_from_filter,
     covariance_from_volterra,
@@ -257,6 +258,19 @@ class TestInvariantValidation:
         g[0, 1] = 2.0
         with pytest.raises(InvalidInput):
             CovarianceTable(1, g)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(InvalidInput, match="non-finite"):
+            FilterCoefficients(1, np.full((3, 3), bad))
+        with pytest.raises(InvalidInput, match="non-finite"):
+            VolterraCoefficients({((0, 0), (1, 0)): bad})
+        with pytest.raises(InvalidInput, match="non-finite"):
+            VolterraCoefficients({((0, 0), (1, 0)): 1.0}, innovation_variance=bad)
+        with pytest.raises(InvalidInput, match="non-finite"):
+            CovarianceTable(0, np.array([[bad]]))
+        with pytest.raises(InvalidInput, match="non-finite"):
+            ProfileFunction(np.array([1.0, bad]))
 
     def test_filter_sum_squares_consistent(self):
         rng = np.random.default_rng(37)
