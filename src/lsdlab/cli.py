@@ -49,15 +49,14 @@ def parse_contour_spec(spec):
     try:
         parts = dict(item.split("=", 1) for item in spec.split(","))
         eps = float(parts.pop("im"))
-        a, b, count = parts.pop("re").split(":")
-        zs = np.linspace(float(a), float(b), int(count)) + 1j * eps
+        re_spec = parts.pop("re")
     except (KeyError, ValueError) as exc:
         raise InvalidInput(f"bad contour spec {spec!r}: {exc}") from exc
     if parts:
         raise InvalidInput(f"bad contour spec {spec!r}: unknown keys {sorted(parts)}")
     if eps <= 0:
         raise InvalidInput("contour height must be positive")
-    return zs
+    return parse_range_spec(re_spec) + 1j * eps
 
 
 def parse_range_spec(spec):
@@ -94,8 +93,8 @@ def _load_density(args):
     path = Path(args.input)
     if not path.exists():
         raise InvalidInput(f"no such file: {path}")
-    first = path.read_text().splitlines()[0].strip() if path.read_text() else ""
-    if first.isdigit():
+    lines = path.read_text().splitlines()
+    if lines and lines[0].strip().isdigit():
         return io.read_density_csv(path)
     return _grid_from_model(path, args)[0]
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import platform
 from pathlib import Path
 
@@ -138,21 +139,32 @@ def write_curve_csv(path, curve):
     _write_text(path, "\n".join(rows) + "\n")
 
 
-def read_curve_csv(path, source="file"):
+def _read_rows(path, header, ncols):
+    """Float rows of a headed CSV; blank lines are skipped, non-finite values rejected."""
     lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != CURVE_HEADER:
-        raise InvalidInput(f"{path}: missing curve header '{CURVE_HEADER}'")
-    data = []
+    if not lines or lines[0].strip() != header:
+        raise InvalidInput(f"{path}: missing header '{header}'")
+    rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         toks = line.split(",")
-        if len(toks) != 6:
-            raise InvalidInput(f"{path}:{lineno}: expected 6 columns")
-        data.append([float(t) for t in toks])
-    if not data:
+        if len(toks) != ncols:
+            raise InvalidInput(f"{path}:{lineno}: expected {ncols} columns")
+        try:
+            row = [float(t) for t in toks]
+        except ValueError as exc:
+            raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
+        if not all(map(math.isfinite, row)):
+            raise InvalidInput(f"{path}:{lineno}: non-finite value")
+        rows.append(row)
+    return np.array(rows)
+
+
+def read_curve_csv(path, source="file"):
+    arr = _read_rows(path, CURVE_HEADER, 6)
+    if not arr.size:
         raise InvalidInput(f"{path}: no curve rows")
-    arr = np.array(data)
     return StieltjesCurve(
         z=arr[:, 0] + 1j * arr[:, 1],
         S=arr[:, 2] + 1j * arr[:, 3],
@@ -175,22 +187,10 @@ def write_table_csv(path, table):
 
 
 def read_table_csv(path):
-    lines = Path(path).read_text().splitlines()
-    if not lines or lines[0].strip() != TABLE_HEADER:
-        raise InvalidInput(f"{path}: missing table header '{TABLE_HEADER}'")
-    data = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        toks = line.split(",")
-        if len(toks) != 3:
-            raise InvalidInput(f"{path}:{lineno}: expected 3 columns")
-        data.append([float(t) for t in toks])
-    if len(data) < 2:
+    arr = _read_rows(path, TABLE_HEADER, 3)
+    if len(arr) < 2:
         raise InvalidInput(f"{path}: need at least two table rows")
-    arr = np.array(data)
-    cdf = arr[:, 2]
-    return DistributionTable(arr[:, 0], arr[:, 1], cdf, uncaptured=max(0.0, 1.0 - float(cdf[-1])))
+    return DistributionTable(arr[:, 0], arr[:, 1], arr[:, 2])
 
 
 def write_eigenvalues_csv(path, replicate_eigenvalues):

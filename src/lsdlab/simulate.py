@@ -80,7 +80,6 @@ class EmpiricalSpectrum:
     """Sorted eigenvalues of one simulated matrix."""
 
     eigenvalues: np.ndarray
-    fingerprint: str = ""
 
     def __post_init__(self):
         e = np.sort(np.asarray(self.eigenvalues, dtype=float))
@@ -105,32 +104,6 @@ def _innovations(rng, shape, kind):
     raise InvalidInput(f"unknown innovation kind {kind!r}")
 
 
-def _linear_patch(innov, taps):
-    """out[i, j] = sum_{p,q} taps[p, q] innov[i+p, j+q]."""
-    k = taps.shape[0]
-    n = innov.shape[0] - k + 1
-    out = np.zeros((n, n))
-    for p in range(k):
-        for q in range(k):
-            c = taps[p, q]
-            if c != 0.0:
-                out += c * innov[p : p + n, q : q + n]
-    return out
-
-
-def _volterra_patch(innov, du1, du2, dv1, dv2, coeffs, n):
-    """out[i, j] = sum_e coeffs[e] innov[i+du1[e], j+du2[e]] innov[i+dv1[e], j+dv2[e]].
-
-    The shift arrays already absorb the padding offset.
-    """
-    out = np.zeros((n, n))
-    for e in range(coeffs.shape[0]):
-        a = innov[du1[e] : du1[e] + n, du2[e] : du2[e] + n]
-        b = innov[dv1[e] : dv1[e] + n, dv2[e] : dv2[e] + n]
-        out += coeffs[e] * a * b
-    return out
-
-
 def generate_linear_patch(a, n, seed, innovation="gaussian"):
     """Exact moving-average field on an n x n square: x[i,j] = sum a[u,v] xi[i+u, j+v]."""
     if n < 1:
@@ -138,7 +111,11 @@ def generate_linear_patch(a, n, seed, innovation="gaussian"):
     rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
     size = n + 2 * a.m
     innov = _innovations(rng, (size, size), innovation)
-    return _linear_patch(innov, np.ascontiguousarray(a.coeffs))
+    out = np.zeros((n, n))
+    for (p, q), c in np.ndenumerate(a.coeffs):
+        if c != 0.0:
+            out += c * innov[p : p + n, q : q + n]
+    return out
 
 
 def generate_volterra_patch(bv, n, seed):
@@ -149,15 +126,12 @@ def generate_volterra_patch(bv, n, seed):
     pad = bv.support_radius
     size = n + 2 * pad
     innov = rng.standard_normal((size, size)) * np.sqrt(bv.innovation_variance)
-    if not bv.entries:
-        return np.zeros((n, n))
-    us = np.array([[u[0], u[1], v[0], v[1]] for (u, v) in bv.entries], dtype=np.int64)
-    coeffs = np.ascontiguousarray(np.fromiter(bv.entries.values(), dtype=float))
-    du1 = np.ascontiguousarray(pad - us[:, 0])
-    du2 = np.ascontiguousarray(pad - us[:, 1])
-    dv1 = np.ascontiguousarray(pad - us[:, 2])
-    dv2 = np.ascontiguousarray(pad - us[:, 3])
-    return _volterra_patch(innov, du1, du2, dv1, dv2, coeffs, n)
+    out = np.zeros((n, n))
+    for ((u1, u2), (v1, v2)), c in bv.entries.items():
+        x = innov[pad - u1 : pad - u1 + n, pad - u2 : pad - u2 + n]
+        y = innov[pad - v1 : pad - v1 + n, pad - v2 : pad - v2 + n]
+        out += c * x * y
+    return out
 
 
 def assemble_matrix(patch, symmetrization):
@@ -180,7 +154,7 @@ def assemble_matrix(patch, symmetrization):
     return m / np.sqrt(n)
 
 
-def spectrum(matrix, fingerprint=""):
+def spectrum(matrix):
     """All eigenvalues of a symmetric matrix, ascending."""
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -192,7 +166,7 @@ def spectrum(matrix, fingerprint=""):
         eigs = np.linalg.eigvalsh(m)
     except np.linalg.LinAlgError as exc:
         raise NoConvergenceEig(f"eigensolver failed: {exc}") from exc
-    return EmpiricalSpectrum(eigs, fingerprint)
+    return EmpiricalSpectrum(eigs)
 
 
 def field_variance(model):
@@ -240,7 +214,7 @@ def _one_replicate(cfg, index):
         patch = generate_volterra_patch(cfg.model, cfg.n, seed)
     matrix = assemble_matrix(patch, cfg.symmetrization)
     try:
-        spec = spectrum(matrix, fingerprint=f"seed={seed};n={cfg.n};r={index}")
+        spec = spectrum(matrix)
     except NoConvergenceEig as exc:
         raise NoConvergenceEig(f"replicate {index}: {exc}", replicate=index) from exc
     elapsed = time.perf_counter() - start

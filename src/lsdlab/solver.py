@@ -406,14 +406,12 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False):
         deadline = int(start[: len(cols)].min(initial=it)) + budget
 
 
-def solve_profile(b, z, cfg=None, warm_start=None, initial_pi=None):
+def solve_profile(b, z, cfg=None, initial_pi=None):
     """Solve the discretized self-consistent equation at one point.
 
     This is the one-column case of the block solve in ``solve_curve``.
-    ``warm_start`` may carry a profile solved at a nearby point (same grid);
-    its self-energy seeds a direct solve at the target, with a cold
-    continuation restart as fallback. ``initial_pi`` overrides the starting
-    iterate explicitly (it must have Im >= 0). The profile's
+    ``initial_pi`` seeds a direct solve at the target (it must have
+    Im >= 0), with a cold continuation restart as fallback. The profile's
     ``residual_history`` is the trace of its final stage.
     """
     cfg = cfg or DEFAULT_CONFIG
@@ -427,10 +425,6 @@ def solve_profile(b, z, cfg=None, warm_start=None, initial_pi=None):
             raise InvalidInput("initial_pi must match the grid size")
         if (pi0.imag < 0).any():
             raise InvalidInput("initial_pi must have nonnegative imaginary part")
-    elif warm_start is not None:
-        if warm_start.g.shape != (b.n,):
-            raise InvalidInput("warm-start profile does not match the grid size")
-        pi0 = warm_start.pi
     ((_, profile),) = _solve_block(b, [z], [[0]], cfg, pi0=pi0, history=True)
     return profile
 
@@ -507,24 +501,12 @@ def _scalar_stage(t, z, v, damping, tol, max_iter):
     return v, res, it, False
 
 
-def _run_scalar_stages(t, z, heights, v0, cfg, m2):
-    v = v0
-    total = 0
-    for idx, h in enumerate(heights):
-        d = _effective_damping(cfg, m2 / (h * h))
-        tol = _stage_tolerance(cfg, idx, heights)
-        v, res, its, ok = _scalar_stage(t, complex(z.real, h), v, d, tol, cfg.max_iterations)
-        total += its
-        if not ok:
-            raise _no_convergence(z, idx, h, res, its)
-    return v, res, total
-
-
 def solve_product_form(t, z, cfg=None):
     """Solve the scalar reduction for a rank-one density b(x, y) = t(x) t(y).
 
-    Continuation mirrors the full solver with the profile's mean square in
-    the role of the contraction mass (it dominates the rank-one grid mass).
+    Continuation follows the full solver's attempts, with the profile's mean
+    square in the role of the contraction mass (it dominates the rank-one
+    grid mass). Only the converged attempt's iterations are counted.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = complex(z)
@@ -532,13 +514,19 @@ def solve_product_form(t, z, cfg=None):
         raise InvalidInput("Im z must be positive")
     tv = np.asarray(t.values, dtype=float)
     m2 = float(np.mean(tv * tv))
-    plan = [z.imag] if (m2 == 0.0 or z.imag > np.sqrt(m2)) else _ladder_heights(z.imag, m2, cfg)
-    try:
-        v, res, total = _run_scalar_stages(tv, z, plan, 0j, cfg, m2)
-    except NoConvergence:
-        if len(plan) > 1:
-            raise
-        v, res, total = _run_scalar_stages(tv, z, _ladder_heights(z.imag, m2, cfg), 0j, cfg, m2)
+    for heights in _attempts(z.imag, m2, cfg, warm=False):
+        v, total = 0j, 0
+        for stage, h in enumerate(heights):
+            d = _effective_damping(cfg, m2 / (h * h))
+            tol = _stage_tolerance(cfg, stage, heights)
+            v, res, its, ok = _scalar_stage(tv, complex(z.real, h), v, d, tol, cfg.max_iterations)
+            total += its
+            if not ok:
+                break
+        if ok:
+            break
+    else:
+        raise _no_convergence(z, stage, h, res, its)
     mean_t = float(tv.mean())
     if v.imag < -1e-15 * (1.0 + abs(v)):
         raise LsdlabError("scalar solver postcondition failed: Im v >= 0")

@@ -209,9 +209,6 @@ class DensityGrid:
         object.__setattr__(self, "values", _readonly(v))
         object.__setattr__(self, "mass", float(v.mean()))
 
-    def nodes(self):
-        return midpoints(self.n)
-
     def is_symmetric(self, atol=1e-10):
         return bool(np.abs(self.values - self.values.T).max() <= atol)
 

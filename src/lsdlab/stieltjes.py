@@ -8,7 +8,7 @@ mollified-vs-mollified at a common eps, so the smoothing bias cancels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -111,15 +111,14 @@ def empirical_curve(eigs, contour):
 class DistributionTable:
     """Density and CDF on a sorted grid, trapezoid-consistent by construction.
 
-    ``uncaptured`` is the probability mass outside the grid window (Cauchy
-    tails of a mollified density, eigenvalues beyond the range, ...). It is
-    reported, never silently folded back in.
+    ``uncaptured``, 1 - cdf[-1], is the probability mass outside the grid
+    window (Cauchy tails of a mollified density, eigenvalues beyond the
+    range, ...). It is reported, never silently folded back in.
     """
 
     xs: np.ndarray
     density: np.ndarray
     cdf: np.ndarray
-    uncaptured: float = 0.0
 
     def __post_init__(self):
         xs = np.asarray(self.xs, dtype=float)
@@ -142,13 +141,29 @@ class DistributionTable:
         object.__setattr__(self, "density", _readonly(den))
         object.__setattr__(self, "cdf", _readonly(cdf))
 
+    @property
+    def uncaptured(self):
+        return max(0.0, 1.0 - float(self.cdf[-1]))
 
-def _cumtrapz(density, xs):
+
+def _check_grid(xs):
+    xs = np.asarray(xs, dtype=float)
+    if xs.ndim != 1 or xs.size < 2 or (np.diff(xs) <= 0).any():
+        raise InvalidInput("xs must be a strictly increasing grid with >= 2 points")
+    return xs
+
+
+def _table(xs, density):
+    """Table of a density on xs: trapezoid CDF, scaled down only if it exceeds one."""
     segs = 0.5 * (density[1:] + density[:-1]) * np.diff(xs)
-    out = np.empty(xs.size)
-    out[0] = 0.0
-    np.cumsum(segs, out=out[1:])
-    return out
+    cdf = np.empty(xs.size)
+    cdf[0] = 0.0
+    np.cumsum(segs, out=cdf[1:])
+    total = float(cdf[-1])
+    if total > 1.0:
+        density = density / total
+        cdf = cdf / total
+    return DistributionTable(xs, density, cdf)
 
 
 def invert_to_distribution(curve, xs):
@@ -159,9 +174,7 @@ def invert_to_distribution(curve, xs):
     density is Im S(x + i eps)/pi; the CDF is its trapezoid integral, scaled
     down only if quadrature pushes it above one.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or (np.diff(xs) <= 0).any():
-        raise InvalidInput("xs must be a strictly increasing grid with >= 2 points")
+    xs = _check_grid(xs)
     im = curve.z.imag
     eps = float(im[0])
     if np.ptp(im) > 1e-9 * eps:
@@ -175,14 +188,7 @@ def invert_to_distribution(curve, xs):
             f"curve covers [{re[0]:.6g}, {re[-1]:.6g}] but needs "
             f"[{xs[0] - 5 * eps:.6g}, {xs[-1] + 5 * eps:.6g}]"
         )
-    density = np.interp(xs, re, curve.S.imag[order]) / np.pi
-    cdf = _cumtrapz(density, xs)
-    total = float(cdf[-1])
-    if total > 1.0:
-        density = density / total
-        cdf = cdf / total
-        total = 1.0
-    return DistributionTable(xs, density, cdf, uncaptured=max(0.0, 1.0 - total))
+    return _table(xs, np.interp(xs, re, curve.S.imag[order]) / np.pi)
 
 
 def table_from_samples(samples, xs):
@@ -192,23 +198,14 @@ def table_from_samples(samples, xs):
     half a step at the edges); this keeps the density/CDF pair trapezoid-
     consistent while approximating the empirical staircase at grid resolution.
     """
-    xs = np.asarray(xs, dtype=float)
-    if xs.ndim != 1 or xs.size < 2 or (np.diff(xs) <= 0).any():
-        raise InvalidInput("xs must be a strictly increasing grid with >= 2 points")
+    xs = _check_grid(xs)
     e = np.asarray(samples, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise InvalidInput("need at least one sample")
     mids = 0.5 * (xs[1:] + xs[:-1])
     edges = np.concatenate(([xs[0] - 0.5 * (xs[1] - xs[0])], mids, [xs[-1] + 0.5 * (xs[-1] - xs[-2])]))
     counts, _ = np.histogram(e, bins=edges)
-    density = counts / (e.size * np.diff(edges))
-    cdf = _cumtrapz(density, xs)
-    total = float(cdf[-1])
-    if total > 1.0:
-        density = density / total
-        cdf = cdf / total
-        total = 1.0
-    return DistributionTable(xs, density, cdf, uncaptured=max(0.0, 1.0 - total))
+    return _table(xs, counts / (e.size * np.diff(edges)))
 
 
 def cdf_at(table, x):

@@ -50,7 +50,7 @@ def mollified_tables(curve_a, curve_b, contour):
 def test_criterion_01_semicircle_oracle():
     heights = np.geomspace(0.05, 10.0, 20)
     grids = {s2: L.DensityGrid(256, np.full((256, 256), s2)) for s2 in (0.25, 1.0, 4.0)}
-    L.solve_profile(grids[1.0], 1j)  # trigger JIT before timing
+    L.solve_profile(grids[1.0], 1j)  # warm-up solve, kept out of the timing
     worst = 0.0
     start = time.perf_counter()
     for sigma2, grid in grids.items():

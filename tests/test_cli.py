@@ -344,3 +344,21 @@ class TestCompareCommand:
         bad = tmp_path / "bad.csv"
         bad.write_text("what,is,this\n")
         assert main(["compare", str(bad), str(bad)]) == 2
+        bad.write_text("x,density,cdf\n0,1,0\n1,one,1\n")
+        assert main(["compare", str(bad), str(bad)]) == 2
+
+    @pytest.mark.parametrize(
+        "name, text, lineno",
+        [
+            ("curve.csv", "re_z,im_z,re_S,im_S,iterations,residual\n0,1,nan,0.5,3,0\n", 2),
+            ("table.csv", "x,density,cdf\n0,1,0\n1,1,nan\n", 3),
+            ("table.csv", "x,density,cdf\n0,1,0\n1,inf,1\n", 3),
+        ],
+        ids=["nan-curve", "nan-cdf", "inf-density"],
+    )
+    def test_non_finite_values_exit_2(self, tmp_path, capsys, name, text, lineno):
+        path = tmp_path / name
+        path.write_text(text)
+        args = ["--threshold-gap", "1e-3"] if name == "curve.csv" else ["--threshold-k", "1.0"]
+        assert main(["compare", str(path), str(path), *args]) == 2
+        assert f"{name}:{lineno}: non-finite" in capsys.readouterr().err

@@ -94,6 +94,28 @@ def test_table_csv_round_trip(tmp_path):
     assert back.uncaptured == pytest.approx(table.uncaptured, abs=1e-12)
 
 
+@pytest.mark.parametrize(
+    "reader, text, lineno",
+    [
+        (io.read_curve_csv, "re_z,im_z,re_S,im_S,iterations,residual\n0,1,0,0.5,3,0\n1,1,nan,0.5,3,0\n", 3),
+        (io.read_table_csv, "x,density,cdf\n0,1,nan\n1,1,1\n", 2),
+        (io.read_table_csv, "x,density,cdf\n0,1,0\n\n1,inf,1\n", 4),
+    ],
+    ids=["nan-curve", "nan-cdf", "inf-density"],
+)
+def test_csv_readers_reject_non_finite_values(tmp_path, reader, text, lineno):
+    path = tmp_path / "data.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInput, match=f"data.csv:{lineno}: non-finite"):
+        reader(path)
+
+
+def test_table_uncaptured_is_the_mass_below_one(tmp_path):
+    path = tmp_path / "table.csv"
+    path.write_text("x,density,cdf\n0,0.5,0\n1,0.5,0.5\n")
+    assert io.read_table_csv(path).uncaptured == 0.5
+
+
 def test_eigenvalue_csv_format(tmp_path):
     path = tmp_path / "eigs.csv"
     io.write_eigenvalues_csv(path, [np.array([1.0, 2.0]), np.array([-0.5])])

@@ -1,4 +1,4 @@
-"""Property tests of the solver on random densities and contour points."""
+"""Property tests of the solver and inversion on random densities and contour points."""
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -9,6 +9,7 @@ from lsdlab import (
     DEFAULT_CONFIG,
     DensityGrid,
     density_from_profile,
+    invert_to_distribution,
     profile_from_steps,
     solve_curve,
     solve_product_form,
@@ -32,12 +33,30 @@ def contour(draw, scale):
     return [complex(x * scale, y * scale) for x in res for y in ims]
 
 
-@st.composite
-def density_problems(draw):
+def density(draw):
+    """A random density and the square root of its mass (1 for a zero density)."""
     n = draw(st.integers(1, 24))
     b = DensityGrid(n, draw(arrays(np.float64, (n, n), elements=VALUES)))
     assume(b.mass == 0.0 or b.mass >= MIN_MASS)
-    return b, contour(draw, np.sqrt(b.mass) if b.mass > 0 else 1.0)
+    return b, np.sqrt(b.mass) if b.mass > 0 else 1.0
+
+
+@st.composite
+def density_problems(draw):
+    b, scale = density(draw)
+    return b, contour(draw, scale)
+
+
+@st.composite
+def horizontal_problems(draw):
+    """A density, a horizontal contour wide enough to invert, and the grid xs
+    it covers with the 5 eps margin inversion needs."""
+    b, scale = density(draw)
+    eps = draw(st.floats(0.05, 3.0)) * scale
+    half = 5 * eps + draw(st.floats(0.1, 3.0)) * scale
+    zs = np.linspace(-half, half, draw(st.integers(2, 41))) + 1j * eps
+    xs = np.linspace(5 * eps - half, half - 5 * eps, draw(st.integers(2, 81)))
+    return b, zs, xs
 
 
 @st.composite
@@ -65,7 +84,7 @@ def test_block_solve_matches_single_point_solves(problem):
     b, zs = problem
     curve = solve_curve(b, zs)
     for z, s in zip(curve.z, curve.S):
-        assert abs(s - solve_profile(b, z, warm_start=None).S) <= 10 * TOL
+        assert abs(s - solve_profile(b, z).S) <= 10 * TOL
 
 
 @PROPERTY
@@ -75,3 +94,12 @@ def test_product_form_matches_full_solve(problem):
     curve = solve_curve(density_from_profile(t), zs)
     for z, s in zip(curve.z, curve.S):
         assert abs(solve_product_form(t, z).S - s) <= 1e-7
+
+
+@PROPERTY
+@given(horizontal_problems())
+def test_inverted_cdf_is_monotone(problem):
+    b, zs, xs = problem
+    table = invert_to_distribution(solve_curve(b, zs), xs)
+    assert (np.diff(table.cdf) >= 0).all()
+    assert table.uncaptured == 1.0 - table.cdf[-1]

@@ -247,7 +247,7 @@ class TestSolveCurve:
         curve = solve_curve(b, contour)
         assert len(curve) == contour.size
         for z, s, res in zip(curve.z, curve.S, curve.residuals):
-            assert abs(s - solve_profile(b, z, warm_start=None).S) <= 10 * 1e-10
+            assert abs(s - solve_profile(b, z).S) <= 10 * 1e-10
             assert res <= 1e-10
 
     def test_loose_inner_stages_save_iterations(self, monkeypatch):
@@ -312,6 +312,15 @@ class TestProductForm:
         # the scalar stage itself stops at the first non-finite residual
         _, res, its, ok = solver._scalar_stage(np.array([1.0, np.nan]), 2j, 0j, 1.0, 1e-10, 100)
         assert not ok and its == 1 and np.isnan(res)
+
+    def test_stalled_certified_stage_retries_through_ladder(self):
+        # Im z > sqrt(m2) plans one direct stage, which stalls within 4 iterations
+        t = profile_from_steps([1.0], 8)
+        assert not solver._scalar_stage(t.values, 1.05j, 0j, 1.0, 1e-10, 4)[3]
+        sol = solve_product_form(t, 1.05j, SolverConfig(max_iterations=4))
+        assert abs(sol.S - semicircle_transform(1.0, 1.05j)) < 1e-8
+        # the 4-stage ladder's iterations; the stalled attempt's 4 are not counted
+        assert sol.iterations == 13
 
     def test_newton_steps_save_iterations(self):
         # 2,000 iterations with the damped step alone

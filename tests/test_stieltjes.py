@@ -14,22 +14,13 @@ from lsdlab import (
     sup_curve_gap,
     table_from_samples,
 )
-from lsdlab.stieltjes import _cumtrapz, cdf_at
+from lsdlab.stieltjes import _table, cdf_at
 
 
 def semicircle_curve(eps, lo=-3.0, hi=3.0, points=1201, sigma2=1.0):
     xs = np.linspace(lo, hi, points)
     vals = np.array([semicircle_transform(sigma2, complex(x, eps)) for x in xs])
     return StieltjesCurve.from_values(xs + 1j * eps, vals, "closed-form")
-
-
-def table_from_density(xs, density):
-    density = np.clip(np.asarray(density, float), 0.0, None)
-    cdf = _cumtrapz(density, xs)
-    if cdf[-1] > 1.0:
-        density = density / cdf[-1]
-        cdf = cdf / cdf[-1]
-    return DistributionTable(xs, density, cdf, uncaptured=max(0.0, 1.0 - cdf[-1]))
 
 
 def gaussian_mixture_table(rng, xs):
@@ -39,7 +30,7 @@ def gaussian_mixture_table(rng, xs):
         sig = rng.uniform(0.2, 0.8)
         density += rng.uniform(0.2, 1.0) * np.exp(-0.5 * ((xs - mu) / sig) ** 2)
     density /= np.trapezoid(density, xs)
-    return table_from_density(xs, density)
+    return _table(xs, density)
 
 
 class TestEmpiricalStieltjes:
@@ -113,7 +104,7 @@ class TestInvertToDistribution:
 class TestDistances:
     def test_distance_to_self_is_zero(self):
         xs = np.linspace(-2, 2, 401)
-        table = table_from_density(xs, np.exp(-(xs**2)))
+        table = _table(xs, np.exp(-(xs**2)))
         assert kolmogorov_distance(table, table) == 0.0
         assert levy_distance(table, table) == 0.0
 
@@ -127,16 +118,16 @@ class TestDistances:
         curve = semicircle_curve(0.05)
         xs = np.linspace(-2.4, 2.4, 801)
         table = invert_to_distribution(curve, xs)
-        perturbed = table_from_density(xs, table.density * (1.0 + 1e-3))
+        perturbed = _table(xs, table.density * (1.0 + 1e-3))
         assert kolmogorov_distance(table, perturbed) <= 2e-3
 
     def test_levy_of_shifted_uniform(self):
         xs = np.linspace(-0.5, 1.7, 4401)
         box = ((xs >= 0.0) & (xs <= 1.0)).astype(float)
-        f = table_from_density(xs, box)
+        f = _table(xs, box)
         delta = 0.1
         box_shift = ((xs >= delta) & (xs <= 1.0 + delta)).astype(float)
-        g = table_from_density(xs, box_shift)
+        g = _table(xs, box_shift)
         lev = levy_distance(f, g)
         assert delta / 2 - 0.01 <= lev <= delta + 0.01
 
@@ -178,8 +169,8 @@ class TestDistances:
     def test_incompatible_coverage_rejected(self):
         xs1 = np.linspace(0, 1, 101)
         xs2 = np.linspace(5, 6, 101)
-        f = table_from_density(xs1, np.ones_like(xs1))
-        g = table_from_density(xs2, np.ones_like(xs2))
+        f = _table(xs1, np.ones_like(xs1))
+        g = _table(xs2, np.ones_like(xs2))
         with pytest.raises(InvalidInput):
             kolmogorov_distance(f, g)
 
