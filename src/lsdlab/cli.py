@@ -54,15 +54,18 @@ def parse_contour_spec(spec):
         raise InvalidInput(f"bad contour spec {spec!r}: {exc}") from exc
     if parts:
         raise InvalidInput(f"bad contour spec {spec!r}: unknown keys {sorted(parts)}")
-    if eps <= 0:
-        raise InvalidInput("contour height must be positive")
+    if not 0 < eps < np.inf:
+        raise InvalidInput(f"contour height must be positive and finite, got {eps}")
     return parse_range_spec(re_spec) + 1j * eps
 
 
 def parse_range_spec(spec):
     try:
         a, b, count = spec.split(":")
-        return np.linspace(float(a), float(b), int(count))
+        lo, hi = float(a), float(b)
+        if not (np.isfinite(lo) and np.isfinite(hi)):
+            raise ValueError("bounds must be finite")
+        return np.linspace(lo, hi, int(count))
     except ValueError as exc:
         raise InvalidInput(f"bad range spec {spec!r}: {exc}") from exc
 
@@ -75,32 +78,48 @@ def _threads():
         raise InvalidInput(f"LSD_LAB_THREADS must be an integer, got {raw!r}")
 
 
-def _grid_from_model(path, args):
-    """Density grid of a model file under the --grid/--volterra-radius/--symmetrize flags."""
+# Grid flag defaults for model files; a density CSV fixes its own grid.
+GRID = 128
+VOLTERRA_RADIUS = 8
+
+
+def _first_line(path):
+    with open(path) as fh:
+        return fh.readline().strip()
+
+
+def _grid_from_model(path, n, radius, symmetrize):
+    """Density grid of a model file on an n-point grid (radius: Volterra covariance)."""
     kind, model = io.read_model_file(path)
     if kind == "filter":
-        grid = density_from_filter(model, args.grid)
+        grid = density_from_filter(model, n)
     else:
-        table = covariance_from_volterra(model, args.volterra_radius)
-        grid = density_from_covariance(table, args.grid)
-    if args.symmetrize:
+        table = covariance_from_volterra(model, radius)
+        grid = density_from_covariance(table, n)
+    if symmetrize:
         grid = symmetrize_density(grid)
     return grid, kind
 
 
 def _load_density(args):
-    """Resolve the solve input: density CSV or model file."""
+    """Resolve the solve input: a density CSV (where a grid flag is an error), or a
+    model file under the grid flags. Returns the grid and the Volterra radius applied."""
     path = Path(args.input)
     if not path.exists():
         raise InvalidInput(f"no such file: {path}")
-    lines = path.read_text().splitlines()
-    if lines and lines[0].strip().isdigit():
-        return io.read_density_csv(path)
-    return _grid_from_model(path, args)[0]
+    if _first_line(path).isdigit():
+        for name in ("grid", "volterra_radius", "symmetrize"):
+            if getattr(args, name) is not None:
+                flag = "--" + name.replace("_", "-")
+                raise InvalidInput(f"{flag} applies to model files only; {path} is a density CSV")
+        return io.read_density_csv(path), None
+    n = GRID if args.grid is None else args.grid
+    radius = VOLTERRA_RADIUS if args.volterra_radius is None else args.volterra_radius
+    return _grid_from_model(path, n, radius, args.symmetrize)[0], radius
 
 
 def cmd_density(args):
-    grid, kind = _grid_from_model(args.model, args)
+    grid, kind = _grid_from_model(args.model, args.grid, args.volterra_radius, args.symmetrize)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     density_path = out_dir / "density.csv"
@@ -125,18 +144,15 @@ def cmd_density(args):
 
 
 def cmd_solve(args):
-    grid = _load_density(args)
     contour = parse_contour_spec(args.contour)
+    xs = parse_range_spec(args.xs) if args.xs else None
+    grid, radius = _load_density(args)
     cfg = io.solver_config_from_file(args.solver_config) if args.solver_config else DEFAULT_CONFIG
     if args.product_form:
         profile = profile_from_density(grid)
         sols = [solve_product_form(profile, z, cfg) for z in contour]
         curve = StieltjesCurve(
-            z=np.asarray(contour),
-            S=np.array([s.S for s in sols]),
-            iterations=np.array([s.iterations for s in sols], dtype=np.int64),
-            residuals=np.array([s.residual for s in sols]),
-            source="solver",
+            contour, [s.S for s in sols], [s.iterations for s in sols], [s.residual for s in sols]
         )
     else:
         curve = solve_curve(grid, contour, cfg)
@@ -148,13 +164,9 @@ def cmd_solve(args):
     extra = {}
     eps = float(contour[0].imag)
     lo, hi = float(contour.real.min()), float(contour.real.max())
-    if args.xs:
-        xs = parse_range_spec(args.xs)
-    elif len(contour) >= 2 and hi - lo > 10 * eps:
+    if xs is None and len(contour) >= 2 and hi - lo > 10 * eps:
         xs = np.linspace(lo + 5 * eps, hi - 5 * eps, 801)
-    else:
-        xs = None  # contour too narrow to invert; emit the curve only
-    if xs is not None:
+    if xs is not None:  # else the contour is too narrow to invert; emit the curve only
         table = invert_to_distribution(curve, xs)
         table_path = out_dir / "distribution.csv"
         io.write_table_csv(table_path, table)
@@ -167,11 +179,11 @@ def cmd_solve(args):
         "solve",
         {
             "input": str(args.input),
-            "grid": args.grid,
+            "grid": grid.n,
             "contour": args.contour,
             "symmetrize": bool(args.symmetrize),
             "product_form": bool(args.product_form),
-            "volterra_radius": args.volterra_radius,
+            "volterra_radius": radius,
             "mass": grid.mass,
             "symmetric": grid.is_symmetric(),
             "max_residual": float(curve.residuals.max()),
@@ -230,13 +242,10 @@ def cmd_simulate(args):
 
 
 def _sniff_kind(path):
-    first = Path(path).read_text().splitlines()
-    head = first[0].strip() if first else ""
-    if head == io.TABLE_HEADER:
-        return "table"
-    if head == io.CURVE_HEADER:
-        return "curve"
-    raise InvalidInput(f"{path}: neither a table nor a curve CSV")
+    kind = {io.TABLE_HEADER: "table", io.CURVE_HEADER: "curve"}.get(_first_line(path))
+    if kind is None:
+        raise InvalidInput(f"{path}: neither a table nor a curve CSV")
+    return kind
 
 
 def cmd_compare(args):
@@ -276,19 +285,20 @@ def build_parser():
 
     p_density = sub.add_parser("density", help="build a density grid from a model file")
     p_density.add_argument("model", help="coefficient table (u v a | u1 u2 v1 v2 b)")
-    p_density.add_argument("--grid", type=int, default=128, metavar="N")
+    p_density.add_argument("--grid", type=int, default=GRID, metavar="N")
     p_density.add_argument("--symmetrize", action="store_true")
-    p_density.add_argument("--volterra-radius", type=int, default=8, metavar="R")
+    p_density.add_argument("--volterra-radius", type=int, default=VOLTERRA_RADIUS, metavar="R")
     p_density.add_argument("--out-dir", default=".")
     p_density.set_defaults(func=cmd_density)
 
     p_solve = sub.add_parser("solve", help="solve S(z) on a contour")
     p_solve.add_argument("input", help="density CSV or model file")
     p_solve.add_argument("--contour", required=True, metavar="im=EPS,re=A:B:COUNT")
-    p_solve.add_argument("--grid", type=int, default=128, metavar="N")
-    p_solve.add_argument("--symmetrize", action="store_true")
+    # grid flags apply to model files only; None marks a flag not given
+    p_solve.add_argument("--grid", type=int, metavar="N", help=f"default {GRID}")
+    p_solve.add_argument("--symmetrize", action="store_true", default=None)
     p_solve.add_argument("--product-form", action="store_true")
-    p_solve.add_argument("--volterra-radius", type=int, default=8, metavar="R")
+    p_solve.add_argument("--volterra-radius", type=int, metavar="R", help=f"default {VOLTERRA_RADIUS}")
     p_solve.add_argument("--solver-config", default=None, metavar="FILE")
     p_solve.add_argument("--xs", default=None, metavar="A:B:COUNT")
     p_solve.add_argument("--out-dir", default=".")

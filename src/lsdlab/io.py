@@ -107,6 +107,9 @@ def read_density_csv(path):
         raise InvalidInput(f"{path}: first line must be the grid size") from exc
     if len(lines) < n + 1:
         raise InvalidInput(f"{path}: expected {n} rows after the header")
+    for lineno, line in enumerate(lines[n + 1 :], start=n + 2):
+        if line.strip():
+            raise InvalidInput(f"{path}:{lineno}: more than {n} rows after the header")
     try:
         values = np.array(
             [[float(tok) for tok in lines[i + 1].split(",")] for i in range(n)]
@@ -161,7 +164,7 @@ def _read_rows(path, header, ncols):
     return np.array(rows)
 
 
-def read_curve_csv(path, source="file"):
+def read_curve_csv(path):
     arr = _read_rows(path, CURVE_HEADER, 6)
     if not arr.size:
         raise InvalidInput(f"{path}: no curve rows")
@@ -170,7 +173,6 @@ def read_curve_csv(path, source="file"):
         S=arr[:, 2] + 1j * arr[:, 3],
         iterations=arr[:, 4].astype(np.int64),
         residuals=arr[:, 5],
-        source=source,
     )
 
 

@@ -429,8 +429,8 @@ def solve_profile(b, z, cfg=None, initial_pi=None):
     return profile
 
 
-def measured_decay_ratio(profile, window=10):
-    """Geometric-mean residual decay over the last ``window`` iterations.
+def measured_decay_ratio(profile):
+    """Geometric-mean residual decay over the last 10 iterations.
 
     This is the decay of the plain damped map only when the final stage is
     certified (B/(Im z)^2 < 1); uncertified stages are Anderson-mixed.
@@ -439,29 +439,30 @@ def measured_decay_ratio(profile, window=10):
     h = h[h > 0]
     if h.size < 2:
         return 0.0
-    w = min(window, h.size - 1)
+    w = min(10, h.size - 1)
     return float((h[-1] / h[-1 - w]) ** (1.0 / w))
 
 
-def solve_curve(b, contour, cfg=None, warm_start=True):
+def solve_curve(b, contour, cfg=None):
     """Solve S(z) along a contour as one block fixed point.
 
     Points sharing a real part form a chain, solved top-down in one block
-    column where each converged point seeds the next; ``warm_start=False``
-    makes every point its own chain. Columns are independent, so results do
-    not depend on how chains share the block. Points come back in
-    (descending Im z, ascending Re z) order.
+    column where each converged point seeds the next. Columns are
+    independent, so results do not depend on how chains share the block.
+    Points come back in (descending Im z, ascending Re z) order.
     """
     cfg = cfg or DEFAULT_CONFIG
     pts = [complex(p) for p in np.asarray(contour, dtype=complex).ravel()]
     if not pts:
         raise InvalidInput("contour must contain at least one point")
+    if not np.isfinite(pts).all():
+        raise InvalidInput("contour points must be finite")
     if any(p.imag <= 0 for p in pts):
         raise InvalidInput("contour points must have Im z > 0")
     order = sorted(range(len(pts)), key=lambda i: (-pts[i].imag, pts[i].real))
     chains = {}
     for i in order:
-        chains.setdefault(pts[i].real if warm_start else i, []).append(i)
+        chains.setdefault(pts[i].real, []).append(i)
     S = np.empty(len(pts), dtype=complex)
     iterations = np.empty(len(pts), dtype=np.int64)
     residuals = np.empty(len(pts))
@@ -472,7 +473,6 @@ def solve_curve(b, contour, cfg=None, warm_start=True):
         S=S[order],
         iterations=iterations[order],
         residuals=residuals[order],
-        source="solver",
     )
 
 

@@ -135,10 +135,6 @@ class VolterraCoefficients:
             r = max(r, abs(u[0]), abs(u[1]), abs(v[0]), abs(v[1]))
         return r
 
-    @property
-    def sum_squares(self):
-        return float(sum(val * val for val in self.entries.values()))
-
 
 @dataclass(frozen=True)
 class CovarianceTable:
@@ -178,10 +174,10 @@ class CovarianceTable:
             return 0.0
         return float(self.gamma[k + self.radius, l + self.radius])
 
-    def is_exchange_symmetric(self, atol=1e-10):
-        """True when gamma[k, l] == gamma[l, k] (needed by the mirrored model)."""
+    def is_exchange_symmetric(self):
+        """True when gamma[k, l] == gamma[l, k] to 1e-10 (1 + gamma[0,0]), as the mirrored model needs."""
         g = self.gamma
-        return bool(np.allclose(g, g.T, atol=atol * (1.0 + abs(self.variance)), rtol=0.0))
+        return bool(np.allclose(g, g.T, atol=1e-10 * (1.0 + abs(self.variance)), rtol=0.0))
 
 
 @dataclass(frozen=True)
@@ -209,8 +205,9 @@ class DensityGrid:
         object.__setattr__(self, "values", _readonly(v))
         object.__setattr__(self, "mass", float(v.mean()))
 
-    def is_symmetric(self, atol=1e-10):
-        return bool(np.abs(self.values - self.values.T).max() <= atol)
+    def is_symmetric(self):
+        """True when values[i, j] == values[j, i] to an absolute 1e-10."""
+        return bool(np.abs(self.values - self.values.T).max() <= 1e-10)
 
 
 @dataclass(frozen=True)
@@ -293,13 +290,12 @@ def covariance_from_volterra(bv, radius):
     return CovarianceTable(radius, g)
 
 
-def density_from_covariance(table, n, negative_tol=1e-8):
+def density_from_covariance(table, n):
     """Invert a finite covariance table into a density grid by Fourier series.
 
     b[i,j] = sum_{k,l} gamma[k,l] exp(-2 pi i (x_i k + y_j l)). Values within
-    ``negative_tol * gamma[0,0]`` below zero are clamped; anything lower means
-    the table is not the restriction of a valid covariance and raises
-    NotADensity.
+    1e-8 gamma[0,0] below zero are clamped; anything lower means the table is
+    not the restriction of a valid covariance and raises NotADensity.
     """
     if n < 2:
         raise InvalidInput("grid size must be >= 2")
@@ -307,7 +303,7 @@ def density_from_covariance(table, n, negative_tol=1e-8):
     lags = np.arange(-table.radius, table.radius + 1)
     phases = np.exp(-2j * np.pi * np.outer(x, lags))
     vals = (phases @ table.gamma @ phases.T).real
-    floor = -negative_tol * max(table.variance, np.abs(table.gamma).max(), 1e-300)
+    floor = -1e-8 * max(table.variance, np.abs(table.gamma).max(), 1e-300)
     worst = float(vals.min())
     if worst < floor:
         raise NotADensity(
@@ -347,11 +343,11 @@ def density_from_profile(t):
     return DensityGrid(t.n, np.outer(t.values, t.values))
 
 
-def profile_from_density(g, rel_tol=1e-8):
-    """Extract t with b = t (x) t from a rank-one density; InvalidInput otherwise."""
+def profile_from_density(g):
+    """Extract t with b = t (x) t (to a relative 1e-8) from a rank-one density."""
     t = np.sqrt(np.clip(np.diag(g.values), 0.0, None))
     scale = max(1.0, float(g.values.max()) if g.values.size else 1.0)
-    if np.abs(g.values - np.outer(t, t)).max() > rel_tol * scale:
+    if np.abs(g.values - np.outer(t, t)).max() > 1e-8 * scale:
         raise InvalidInput("density grid is not of product form t(x) t(y)")
     return ProfileFunction(t)
 

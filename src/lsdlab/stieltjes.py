@@ -38,23 +38,24 @@ class StieltjesCurve:
     """S(z) sampled at points of the upper half-plane.
 
     ``iterations`` and ``residuals`` carry solver diagnostics per point and
-    are zero for empirical or closed-form curves. ``source`` tags provenance:
-    solver | empirical | closed-form | file.
+    default to zero, as for empirical or closed-form curves.
     """
 
     z: np.ndarray
     S: np.ndarray
-    iterations: np.ndarray
-    residuals: np.ndarray
-    source: str = "solver"
+    iterations: np.ndarray = None
+    residuals: np.ndarray = None
 
     def __post_init__(self):
         z = np.asarray(self.z, dtype=complex)
         s = np.asarray(self.S, dtype=complex)
-        it = np.asarray(self.iterations, dtype=np.int64)
-        res = np.asarray(self.residuals, dtype=float)
+        zeros = np.zeros(z.shape)
+        it = np.asarray(zeros if self.iterations is None else self.iterations, dtype=np.int64)
+        res = np.asarray(zeros if self.residuals is None else self.residuals, dtype=float)
         if not (z.shape == s.shape == it.shape == res.shape) or z.ndim != 1 or z.size == 0:
             raise InvalidInput("curve arrays must be equal-length nonempty 1-D arrays")
+        if not (np.isfinite(z).all() and np.isfinite(s).all()):
+            raise InvalidInput("curve points and values must be finite")
         if (z.imag <= 0).any():
             raise InvalidInput("curve points must have Im z > 0")
         if (s.imag <= 0).any():
@@ -68,18 +69,6 @@ class StieltjesCurve:
 
     def __len__(self):
         return self.z.size
-
-    @classmethod
-    def from_values(cls, z, S, source, iterations=None, residuals=None):
-        z = np.asarray(z, dtype=complex)
-        n = z.size
-        return cls(
-            z,
-            np.asarray(S, dtype=complex),
-            np.zeros(n, np.int64) if iterations is None else iterations,
-            np.zeros(n) if residuals is None else residuals,
-            source,
-        )
 
 
 def empirical_stieltjes(eigs, z):
@@ -104,7 +93,7 @@ def empirical_curve(eigs, contour):
     if (zs.imag <= 0).any():
         raise InvalidInput("contour points must have Im z > 0")
     s = (1.0 / (e[:, None] - zs[None, :])).mean(axis=0)
-    return StieltjesCurve.from_values(zs, s, "empirical")
+    return StieltjesCurve(zs, s)
 
 
 @dataclass(frozen=True)
@@ -150,6 +139,8 @@ def _check_grid(xs):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 1 or xs.size < 2 or (np.diff(xs) <= 0).any():
         raise InvalidInput("xs must be a strictly increasing grid with >= 2 points")
+    if not np.isfinite(xs).all():
+        raise InvalidInput("xs must be finite")
     return xs
 
 
@@ -254,8 +245,8 @@ def levy_distance(f, g):
     return float(hi)
 
 
-def sup_curve_gap(a, b, atol=1e-9):
-    """max_k |S_a(z_k) - S_b(z_k)| for curves sampled at the same points."""
-    if len(a) != len(b) or np.abs(a.z - b.z).max() > atol * (1.0 + np.abs(a.z).max()):
+def sup_curve_gap(a, b):
+    """max_k |S_a(z_k) - S_b(z_k)| for curves sampled at the same points (to 1e-9)."""
+    if len(a) != len(b) or np.abs(a.z - b.z).max() > 1e-9 * (1.0 + np.abs(a.z).max()):
         raise InvalidInput("curves are not sampled at the same points")
     return float(np.abs(a.S - b.S).max())

@@ -244,6 +244,58 @@ class TestSolveCommand:
         assert code == 2
         assert "non-finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag", [["--grid", "16"], ["--volterra-radius", "4"], ["--symmetrize"]])
+    def test_grid_flag_on_density_csv_exits_2(self, tmp_path, capsys, flag):
+        grid_path = tmp_path / "density.csv"
+        io.write_density_csv(grid_path, DensityGrid(16, np.ones((16, 16))))
+        out = tmp_path / "o"
+        code = main(["solve", str(grid_path), "--contour", "im=1,re=0:0:1", *flag, "--out-dir", str(out)])
+        assert code == 2
+        assert f"{flag[0]} applies to model files only" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_density_csv_manifest_records_its_own_grid(self, tmp_path):
+        grid_path = tmp_path / "density.csv"
+        io.write_density_csv(grid_path, DensityGrid(16, np.ones((16, 16))))
+        out = tmp_path / "o"
+        assert main(["solve", str(grid_path), "--contour", "im=1,re=0:0:1", "--out-dir", str(out)]) == 0
+        config = json.loads((out / "manifest.json").read_text())["config"]
+        assert config["grid"] == 16
+        assert config["volterra_radius"] is None
+        assert config["symmetrize"] is False
+
+
+NON_FINITE_SPECS = [
+    ("solve", ["--contour", "im=0.05,re=-1:1:3", "--xs", "nan:1:5"]),
+    ("solve", ["--contour", "im=0.05,re=-1:1:3", "--xs", "0:inf:5"]),
+    ("solve", ["--contour", "im=nan,re=-1:1:3"]),
+    ("solve", ["--contour", "im=inf,re=-1:1:3"]),
+    ("solve", ["--contour", "im=0.05,re=nan:1:3"]),
+    ("simulate", ["--contour", "im=nan,re=-1:1:3"]),
+    ("simulate", ["--contour", "im=0.05,re=-1:-inf:3"]),
+]
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    NON_FINITE_SPECS,
+    ids=["xs-nan", "xs-inf", "im-nan", "im-inf", "re-nan", "simulate-im-nan", "simulate-re-inf"],
+)
+def test_non_finite_spec_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, spec):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved or simulated a non-finite spec")
+
+    monkeypatch.setattr("lsdlab.cli.solve_curve", forbidden)
+    monkeypatch.setattr("lsdlab.cli.ensemble_esd", forbidden)
+    write_model(tmp_path, "0 0 1.0\n")
+    cfg = tmp_path / "ensemble.txt"
+    cfg.write_text("n = 8\nseed = 1\nmodel = model.txt\n")
+    source = str(tmp_path / "model.txt") if command == "solve" else str(cfg)
+    out = tmp_path / "o"
+    assert main([command, source, *spec, "--out-dir", str(out)]) == 2
+    assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestSimulateCommand:
     def write_ensemble(self, tmp_path, n=24, replicates=2, symmetrization="wigner"):

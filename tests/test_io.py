@@ -69,6 +69,15 @@ def test_density_csv_round_trip(tmp_path):
     assert back.mass == grid.mass
 
 
+def test_density_csv_rejects_rows_beyond_its_size(tmp_path):
+    path = tmp_path / "density.csv"
+    path.write_text("2\n1,1\n1,1\n\n5,5\n")
+    with pytest.raises(InvalidInput, match="density.csv:5: more than 2 rows"):
+        io.read_density_csv(path)
+    path.write_text("2\n1,1\n1,1\n\n")  # trailing blank lines are fine
+    assert io.read_density_csv(path).n == 2
+
+
 def test_curve_csv_round_trip(tmp_path):
     grid = DensityGrid(8, np.ones((8, 8)))
     curve = solve_curve(grid, np.array([1j, 0.5 + 2j]))
@@ -79,7 +88,6 @@ def test_curve_csv_round_trip(tmp_path):
     assert np.array_equal(back.z, curve.z)
     assert np.array_equal(back.S, curve.S)
     assert np.array_equal(back.iterations, curve.iterations)
-    assert back.source == "file"
 
 
 def test_table_csv_round_trip(tmp_path):

@@ -169,11 +169,7 @@ class TestEnsemble:
         result = ensemble_esd(cfg, contour=contour)
         eps = float(contour[0].imag)
         xs = np.linspace(contour.real.min() + 5 * eps, contour.real.max() - 5 * eps, 801)
-        sc = StieltjesCurve.from_values(
-            contour,
-            [semicircle_transform(1.0, z) for z in contour],
-            "closed-form",
-        )
+        sc = StieltjesCurve(contour, [semicircle_transform(1.0, z) for z in contour])
         dist = kolmogorov_distance(
             invert_to_distribution(result.curve, xs), invert_to_distribution(sc, xs)
         )

@@ -216,12 +216,10 @@ class TestSolveCurve:
         prof = solve_profile(b, 1j)
         assert abs(curve.S[0] - prof.S) < 1e-12
 
-    def test_warm_start_agrees_with_cold(self):
-        b = density_from_filter(random_filter(np.random.default_rng(29)), 48)
-        contour = np.array([0.5 + 3j, 0.5 + 1.5j, 0.5 + 0.8j])
-        warm = solve_curve(b, contour, warm_start=True)
-        cold = solve_curve(b, contour, warm_start=False)
-        assert np.abs(warm.S - cold.S).max() <= 10 * 1e-10
+    @pytest.mark.parametrize("bad", [complex(np.nan, 1.0), complex(0.0, np.nan), complex(0.0, np.inf)])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(InvalidInput, match="finite"):
+            solve_curve(constant_density(1.0), [1j, bad])
 
     def test_horizontal_curve_matches_mollified_semicircle_in_bulk(self):
         b = constant_density(1.0, 128)

@@ -20,7 +20,7 @@ from lsdlab.stieltjes import _table, cdf_at
 def semicircle_curve(eps, lo=-3.0, hi=3.0, points=1201, sigma2=1.0):
     xs = np.linspace(lo, hi, points)
     vals = np.array([semicircle_transform(sigma2, complex(x, eps)) for x in xs])
-    return StieltjesCurve.from_values(xs + 1j * eps, vals, "closed-form")
+    return StieltjesCurve(xs + 1j * eps, vals)
 
 
 def gaussian_mixture_table(rng, xs):
@@ -74,7 +74,7 @@ class TestInvertToDistribution:
         xs = np.linspace(-1.0, 1.0, 801)
         # curve nodes aligned with xs so interpolation is exact at the nodes
         zs = np.linspace(-1.05, 1.05, 841) + 1j * eps
-        curve = StieltjesCurve.from_values(zs, -1.0 / zs, "closed-form")
+        curve = StieltjesCurve(zs, -1.0 / zs)
         table = invert_to_distribution(curve, xs)
         kernel = eps / (np.pi * (xs**2 + eps**2))
         assert np.abs(table.density - kernel).max() < 1e-12
@@ -91,7 +91,7 @@ class TestInvertToDistribution:
 
     def test_requires_horizontal_line(self):
         zs = np.array([0.0 + 0.1j, 1.0 + 0.2j])
-        curve = StieltjesCurve.from_values(zs, -1.0 / zs, "closed-form")
+        curve = StieltjesCurve(zs, -1.0 / zs)
         with pytest.raises(InvalidInput):
             invert_to_distribution(curve, np.linspace(0.0, 0.5, 11))
 
@@ -192,6 +192,21 @@ class TestRoundTrip:
         emp = invert_to_distribution(empirical_curve(samples, zs), xs)
         ref = invert_to_distribution(semicircle_curve(eps, lo=-2.8, hi=2.8), xs)
         assert kolmogorov_distance(emp, ref) <= 0.03
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: StieltjesCurve([1j, complex(np.nan, 1.0)], [0.5j, 0.5j]),
+        lambda: StieltjesCurve([1j, 2j], [0.5j, complex(0.0, np.inf)]),
+        lambda: invert_to_distribution(semicircle_curve(0.05), [0.0, np.nan]),
+        lambda: table_from_samples([0.0, 1.0], [0.0, 1.0, np.inf]),
+    ],
+    ids=["nan-z", "inf-S", "nan-xs-invert", "inf-xs-table"],
+)
+def test_non_finite_curves_and_grids_rejected(call):
+    with pytest.raises(InvalidInput, match="finite"):
+        call()
 
 
 class TestSupCurveGap:
