@@ -10,65 +10,11 @@ Monte Carlo over matrix ensembles.
 
 __version__ = "0.1.0"
 
-from .errors import (
-    InvalidInput,
-    LsdlabError,
-    NoConvergence,
-    NoConvergenceEig,
-    NotADensity,
-)
-from .spectral import (
-    CovarianceTable,
-    DensityGrid,
-    FilterCoefficients,
-    ProfileFunction,
-    VolterraCoefficients,
-    covariance_from_filter,
-    covariance_from_volterra,
-    density_from_covariance,
-    density_from_filter,
-    density_from_profile,
-    profile_from_density,
-    profile_from_steps,
-    symmetrize_density,
-    truncate_filter,
-    truncation_l1_bound,
-)
-from .solver import (
-    DEFAULT_CONFIG,
-    ResolventProfile,
-    ScalarSolution,
-    SolverConfig,
-    contraction_certificate,
-    continuity_bound,
-    measured_decay_ratio,
-    semicircle_transform,
-    solve_curve,
-    solve_product_form,
-    solve_profile,
-)
-from .stieltjes import (
-    DistributionTable,
-    StieltjesCurve,
-    empirical_curve,
-    empirical_stieltjes,
-    invert_to_distribution,
-    kolmogorov_distance,
-    levy_distance,
-    sup_curve_gap,
-    table_from_samples,
-)
-from .simulate import (
-    EmpiricalSpectrum,
-    EnsembleConfig,
-    EnsembleResult,
-    assemble_matrix,
-    default_contour,
-    ensemble_esd,
-    generate_linear_patch,
-    generate_volterra_patch,
-    replicate_seed,
-    spectrum,
-)
+from . import errors, simulate, solver, spectral, stieltjes
+from .errors import *
+from .spectral import *
+from .solver import *
+from .stieltjes import *
+from .simulate import *
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [name for module in (errors, spectral, solver, stieltjes, simulate) for name in module.__all__]

@@ -83,11 +83,6 @@ GRID = 128
 VOLTERRA_RADIUS = 8
 
 
-def _first_line(path):
-    with open(path) as fh:
-        return fh.readline().strip()
-
-
 def _grid_from_model(path, n, radius, symmetrize):
     """Density grid of a model file on an n-point grid (radius: Volterra covariance)."""
     kind, model = io.read_model_file(path)
@@ -107,7 +102,7 @@ def _load_density(args):
     path = Path(args.input)
     if not path.exists():
         raise InvalidInput(f"no such file: {path}")
-    if _first_line(path).isdigit():
+    if io._first_line(path).isdigit():
         for name in ("grid", "volterra_radius", "symmetrize"):
             if getattr(args, name) is not None:
                 flag = "--" + name.replace("_", "-")
@@ -242,7 +237,7 @@ def cmd_simulate(args):
 
 
 def _sniff_kind(path):
-    kind = {io.TABLE_HEADER: "table", io.CURVE_HEADER: "curve"}.get(_first_line(path))
+    kind = {io.TABLE_HEADER: "table", io.CURVE_HEADER: "curve"}.get(io._first_line(path))
     if kind is None:
         raise InvalidInput(f"{path}: neither a table nor a curve CSV")
     return kind

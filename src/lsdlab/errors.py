@@ -1,5 +1,7 @@
 """Exception types shared across the library."""
 
+__all__ = ["LsdlabError", "InvalidInput", "NotADensity", "NoConvergence", "NoConvergenceEig"]
+
 
 class LsdlabError(Exception):
     """Base class for all library errors."""

@@ -6,6 +6,7 @@ float64 exactly and repeated runs are byte-identical.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -46,6 +47,11 @@ def fmt(x):
 def _write_text(path, text):
     with open(path, "w", newline="\n") as fh:
         fh.write(text)
+
+
+def _first_line(path):
+    with open(path) as fh:
+        return fh.readline().strip()
 
 
 def _data_lines(path):
@@ -98,26 +104,15 @@ def write_density_csv(path, grid):
 
 
 def read_density_csv(path):
-    lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise InvalidInput(f"{path}: empty density file")
-    try:
-        n = int(lines[0].strip())
-    except ValueError as exc:
-        raise InvalidInput(f"{path}: first line must be the grid size") from exc
-    if len(lines) < n + 1:
+    size = _first_line(path)
+    if not size.isdecimal():
+        raise InvalidInput(f"{path}: first line must be the grid size")
+    n = int(size)
+    values, linenos = _read_rows(path, size, n)
+    if len(values) > n:
+        raise InvalidInput(f"{path}:{linenos[n]}: more than {n} rows after the header")
+    if len(values) < n:
         raise InvalidInput(f"{path}: expected {n} rows after the header")
-    for lineno, line in enumerate(lines[n + 1 :], start=n + 2):
-        if line.strip():
-            raise InvalidInput(f"{path}:{lineno}: more than {n} rows after the header")
-    try:
-        values = np.array(
-            [[float(tok) for tok in lines[i + 1].split(",")] for i in range(n)]
-        )
-    except ValueError as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
-    if values.shape != (n, n):
-        raise InvalidInput(f"{path}: expected {n}x{n} values, got {values.shape}")
     return DensityGrid(n, values)
 
 
@@ -143,11 +138,12 @@ def write_curve_csv(path, curve):
 
 
 def _read_rows(path, header, ncols):
-    """Float rows of a headed CSV; blank lines are skipped, non-finite values rejected."""
+    """Float rows of a headed CSV and their line numbers; blank lines are
+    skipped, non-finite values rejected."""
     lines = Path(path).read_text().splitlines()
     if not lines or lines[0].strip() != header:
         raise InvalidInput(f"{path}: missing header '{header}'")
-    rows = []
+    rows, linenos = [], []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -161,11 +157,12 @@ def _read_rows(path, header, ncols):
         if not all(map(math.isfinite, row)):
             raise InvalidInput(f"{path}:{lineno}: non-finite value")
         rows.append(row)
-    return np.array(rows)
+        linenos.append(lineno)
+    return np.array(rows), linenos
 
 
 def read_curve_csv(path):
-    arr = _read_rows(path, CURVE_HEADER, 6)
+    arr, _ = _read_rows(path, CURVE_HEADER, 6)
     if not arr.size:
         raise InvalidInput(f"{path}: no curve rows")
     return StieltjesCurve(
@@ -189,7 +186,7 @@ def write_table_csv(path, table):
 
 
 def read_table_csv(path):
-    arr = _read_rows(path, TABLE_HEADER, 3)
+    arr, _ = _read_rows(path, TABLE_HEADER, 3)
     if len(arr) < 2:
         raise InvalidInput(f"{path}: need at least two table rows")
     return DistributionTable(arr[:, 0], arr[:, 1], arr[:, 2])
@@ -216,23 +213,15 @@ def read_keyvalue(path):
     return out
 
 
-_SOLVER_KEYS = {
-    "tolerance": float,
-    "max_iterations": int,
-    "damping": float,
-    "continuation_factor": float,
-    "safe_height_multiplier": float,
-}
-
-
 def solver_config_from_file(path):
-    raw = read_keyvalue(path)
+    """SolverConfig from key=value text: its field names, typed like their defaults."""
+    types = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
     kwargs = {}
-    for key, value in raw.items():
-        if key not in _SOLVER_KEYS:
+    for key, value in read_keyvalue(path).items():
+        if key not in types:
             raise InvalidInput(f"{path}: unknown solver key {key!r}")
         try:
-            kwargs[key] = _SOLVER_KEYS[key](value)
+            kwargs[key] = types[key](value)
         except ValueError as exc:
             raise InvalidInput(f"{path}: bad value for {key}: {exc}") from exc
     return SolverConfig(**kwargs)
@@ -251,7 +240,7 @@ def ensemble_config_from_file(path, overrides=None):
     for key in required:
         if key not in raw:
             raise InvalidInput(f"{path}: missing required key {key!r}")
-    known = {"n", "replicates", "seed", "model", "symmetrization", "innovation"}
+    known = {f.name for f in dataclasses.fields(EnsembleConfig)}
     for key in raw:
         if key not in known:
             raise InvalidInput(f"{path}: unknown ensemble key {key!r}")

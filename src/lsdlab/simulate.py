@@ -125,7 +125,7 @@ def generate_volterra_patch(bv, n, seed):
     rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
     pad = bv.support_radius
     size = n + 2 * pad
-    innov = rng.standard_normal((size, size)) * np.sqrt(bv.innovation_variance)
+    innov = rng.standard_normal((size, size))
     out = np.zeros((n, n))
     for ((u1, u2), (v1, v2)), c in bv.entries.items():
         x = innov[pad - u1 : pad - u1 + n, pad - u2 : pad - u2 + n]

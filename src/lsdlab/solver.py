@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, LsdlabError, NoConvergence
-from .stieltjes import StieltjesCurve
+from .stieltjes import StieltjesCurve, _upper_half_plane
 
 __all__ = [
     "SolverConfig",
@@ -148,11 +148,9 @@ def semicircle_transform(sigma2, z):
     S = -(z - sqrt(z^2 - 4 sigma2)) / (2 sigma2), taking the square root with
     positive imaginary part.
     """
-    z = complex(z)
     if sigma2 <= 0:
         raise InvalidInput("sigma2 must be positive")
-    if z.imag <= 0:
-        raise InvalidInput("Im z must be positive")
+    z = _upper_half_plane(z)
     root = np.sqrt(complex(z * z - 4.0 * sigma2))
     if root.imag < 0:
         root = -root
@@ -161,9 +159,7 @@ def semicircle_transform(sigma2, z):
 
 def contraction_certificate(b, z):
     """A-priori Lipschitz factor B/(Im z)^2 of the self-energy iteration."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("Im z must be positive")
+    z = _upper_half_plane(z)
     return float(b.mass / z.imag**2)
 
 
@@ -174,9 +170,7 @@ def continuity_bound(b1, b2, z):
     and the transform gap is that over (Im z)^2. Valid only where
     (Im z)^2 > B_max.
     """
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("Im z must be positive")
+    z = _upper_half_plane(z)
     if b1.n != b2.n:
         raise InvalidInput("density grids must share the same size")
     bmax = max(b1.mass, b2.mass)
@@ -415,9 +409,7 @@ def solve_profile(b, z, cfg=None, initial_pi=None):
     ``residual_history`` is the trace of its final stage.
     """
     cfg = cfg or DEFAULT_CONFIG
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("Im z must be positive")
+    z = _upper_half_plane(z)
     pi0 = None
     if initial_pi is not None:
         pi0 = np.asarray(initial_pi, dtype=complex)
@@ -452,13 +444,9 @@ def solve_curve(b, contour, cfg=None):
     Points come back in (descending Im z, ascending Re z) order.
     """
     cfg = cfg or DEFAULT_CONFIG
-    pts = [complex(p) for p in np.asarray(contour, dtype=complex).ravel()]
+    pts = _upper_half_plane(np.ravel(contour)).tolist()
     if not pts:
         raise InvalidInput("contour must contain at least one point")
-    if not np.isfinite(pts).all():
-        raise InvalidInput("contour points must be finite")
-    if any(p.imag <= 0 for p in pts):
-        raise InvalidInput("contour points must have Im z > 0")
     order = sorted(range(len(pts)), key=lambda i: (-pts[i].imag, pts[i].real))
     chains = {}
     for i in order:
@@ -509,9 +497,7 @@ def solve_product_form(t, z, cfg=None):
     grid mass). Only the converged attempt's iterations are counted.
     """
     cfg = cfg or DEFAULT_CONFIG
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("Im z must be positive")
+    z = _upper_half_plane(z)
     tv = np.asarray(t.values, dtype=float)
     m2 = float(np.mean(tv * tv))
     for heights in _attempts(z.imag, m2, cfg, warm=False):

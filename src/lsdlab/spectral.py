@@ -102,18 +102,14 @@ class FilterCoefficients:
 class VolterraCoefficients:
     """Sparse bilinear expansion coefficients b[(u1,u2),(v1,v2)].
 
-    Diagonal pairs u == v are forbidden: the field is then centered without
-    any fourth-moment contribution, and the covariance has a closed form.
+    Innovations are gaussian with unit variance by convention. Diagonal pairs
+    u == v are forbidden: the field is then centered without any
+    fourth-moment contribution, and the covariance has a closed form.
     """
 
     entries: dict
-    innovation_variance: float = 1.0
 
     def __post_init__(self):
-        if not np.isfinite(self.innovation_variance):
-            raise InvalidInput("innovation variance is non-finite")
-        if self.innovation_variance <= 0:
-            raise InvalidInput("innovation variance must be positive")
         cleaned = {}
         for (u, v), val in self.entries.items():
             u = (int(u[0]), int(u[1]))
@@ -253,31 +249,33 @@ def covariance_from_filter(a, radius):
     return CovarianceTable(radius, g)
 
 
+def _fourier(c, radius, n):
+    """sum_{k,l} c[k + radius, l + radius] exp(-2 pi i (x_i k + y_j l)) on the n x n midpoint grid."""
+    if n < 2:
+        raise InvalidInput("grid size must be >= 2")
+    phases = np.exp(-2j * np.pi * np.outer(midpoints(n), np.arange(-radius, radius + 1)))
+    return phases @ c @ phases.T
+
+
 def density_from_filter(a, n):
     """Scaled spectral density of the moving-average field at grid midpoints.
 
     b[i,j] = |sum_{u,v} a[u,v] exp(-2 pi i (x_i u + y_j v))|^2; the grid mass
     equals the coefficient sum of squares exactly once n > 2m.
     """
-    if n < 2:
-        raise InvalidInput("grid size must be >= 2")
-    x = midpoints(n)
-    lags = np.arange(-a.m, a.m + 1)
-    phases = np.exp(-2j * np.pi * np.outer(x, lags))
-    amp = phases @ a.coeffs @ phases.T
+    amp = _fourier(a.coeffs, a.m, n)
     return DensityGrid(n, amp.real**2 + amp.imag**2)
 
 
 def covariance_from_volterra(bv, radius):
     """Covariance of the bilinear field.
 
-    gamma_k = var^2 * sum_{u,v} b[u,v] (b[u+k, v+k] + b[v+k, u+k]), an exact
-    finite sum over the stored entries.
+    gamma_k = sum_{u,v} b[u,v] (b[u+k, v+k] + b[v+k, u+k]), an exact finite
+    sum over the stored entries (unit-variance innovations).
     """
     if radius < 0:
         raise InvalidInput("radius must be >= 0")
     ent = bv.entries
-    scale = bv.innovation_variance**2
     g = np.zeros((2 * radius + 1, 2 * radius + 1))
     for k1 in range(-radius, radius + 1):
         for k2 in range(-radius, radius + 1):
@@ -286,7 +284,7 @@ def covariance_from_volterra(bv, radius):
                 us = (u[0] + k1, u[1] + k2)
                 vs = (v[0] + k1, v[1] + k2)
                 acc += val * (ent.get((us, vs), 0.0) + ent.get((vs, us), 0.0))
-            g[radius + k1, radius + k2] = scale * acc
+            g[radius + k1, radius + k2] = acc
     return CovarianceTable(radius, g)
 
 
@@ -297,12 +295,7 @@ def density_from_covariance(table, n):
     1e-8 gamma[0,0] below zero are clamped; anything lower means the table is
     not the restriction of a valid covariance and raises NotADensity.
     """
-    if n < 2:
-        raise InvalidInput("grid size must be >= 2")
-    x = midpoints(n)
-    lags = np.arange(-table.radius, table.radius + 1)
-    phases = np.exp(-2j * np.pi * np.outer(x, lags))
-    vals = (phases @ table.gamma @ phases.T).real
+    vals = _fourier(table.gamma, table.radius, n).real
     floor = -1e-8 * max(table.variance, np.abs(table.gamma).max(), 1e-300)
     worst = float(vals.min())
     if worst < floor:

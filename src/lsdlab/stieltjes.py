@@ -33,6 +33,16 @@ def _readonly(a):
     return a
 
 
+def _upper_half_plane(z):
+    """z (a scalar or a 1-D array) as complex, checked to be finite with Im z > 0."""
+    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
+    if not np.all(np.isfinite(z)):
+        raise InvalidInput("points z must be finite")
+    if np.any(np.imag(z) <= 0):
+        raise InvalidInput("points z must have Im z > 0")
+    return z
+
+
 @dataclass(frozen=True)
 class StieltjesCurve:
     """S(z) sampled at points of the upper half-plane.
@@ -54,10 +64,9 @@ class StieltjesCurve:
         res = np.asarray(zeros if self.residuals is None else self.residuals, dtype=float)
         if not (z.shape == s.shape == it.shape == res.shape) or z.ndim != 1 or z.size == 0:
             raise InvalidInput("curve arrays must be equal-length nonempty 1-D arrays")
-        if not (np.isfinite(z).all() and np.isfinite(s).all()):
-            raise InvalidInput("curve points and values must be finite")
-        if (z.imag <= 0).any():
-            raise InvalidInput("curve points must have Im z > 0")
+        _upper_half_plane(z)
+        if not np.isfinite(s).all():
+            raise InvalidInput("curve values must be finite")
         if (s.imag <= 0).any():
             raise InvalidInput("curve values must have Im S > 0")
         if (np.abs(s) > (1.0 + 1e-9) / z.imag).any():
@@ -73,9 +82,7 @@ class StieltjesCurve:
 
 def empirical_stieltjes(eigs, z):
     """Transform of an eigenvalue sample: (1/n) sum_k 1/(lambda_k - z)."""
-    z = complex(z)
-    if z.imag <= 0:
-        raise InvalidInput("Im z must be positive")
+    z = _upper_half_plane(z)
     e = np.asarray(eigs, dtype=float)
     if e.ndim != 1 or e.size == 0:
         raise InvalidInput("need at least one eigenvalue")
@@ -90,8 +97,7 @@ def empirical_curve(eigs, contour):
         raise InvalidInput("need at least one eigenvalue")
     if zs.ndim != 1 or zs.size == 0:
         raise InvalidInput("contour must be a nonempty 1-D array")
-    if (zs.imag <= 0).any():
-        raise InvalidInput("contour points must have Im z > 0")
+    _upper_half_plane(zs)
     s = (1.0 / (e[:, None] - zs[None, :])).mean(axis=0)
     return StieltjesCurve(zs, s)
 

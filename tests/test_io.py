@@ -108,8 +108,9 @@ def test_table_csv_round_trip(tmp_path):
         (io.read_curve_csv, "re_z,im_z,re_S,im_S,iterations,residual\n0,1,0,0.5,3,0\n1,1,nan,0.5,3,0\n", 3),
         (io.read_table_csv, "x,density,cdf\n0,1,nan\n1,1,1\n", 2),
         (io.read_table_csv, "x,density,cdf\n0,1,0\n\n1,inf,1\n", 4),
+        (io.read_density_csv, "2\n1,1\n1,nan\n", 3),
     ],
-    ids=["nan-curve", "nan-cdf", "inf-density"],
+    ids=["nan-curve", "nan-cdf", "inf-density", "nan-density-csv"],
 )
 def test_csv_readers_reject_non_finite_values(tmp_path, reader, text, lineno):
     path = tmp_path / "data.csv"

@@ -6,10 +6,13 @@ from lsdlab import (
     InvalidInput,
     NoConvergence,
     SolverConfig,
+    StieltjesCurve,
     contraction_certificate,
     continuity_bound,
     density_from_filter,
     density_from_profile,
+    empirical_curve,
+    empirical_stieltjes,
     measured_decay_ratio,
     profile_from_steps,
     semicircle_transform,
@@ -337,3 +340,38 @@ class TestProductForm:
             assert abs(sol.v) <= (1 + 1e-9) * float(t.values.mean()) / z.imag
             # the transform identity S = -(1 + v^2)/z holds exactly
             assert sol.S == -(1.0 + sol.v**2) / z
+
+
+@pytest.mark.parametrize(
+    "z",
+    [complex(np.nan, 1.0), complex(0.0, np.nan), complex(np.inf, 1.0), complex(0.0, np.inf), 0.5 + 0j],
+    ids=["nan-re", "nan-im", "inf-re", "inf-im", "real"],
+)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda z: semicircle_transform(1.0, z),
+        lambda z: contraction_certificate(constant_density(1.0, 8), z),
+        lambda z: continuity_bound(constant_density(1.0, 8), constant_density(2.0, 8), z),
+        lambda z: solve_profile(constant_density(1.0, 8), z),
+        lambda z: solve_curve(constant_density(1.0, 8), [1j, z]),
+        lambda z: solve_product_form(profile_from_steps([1.0], 8), z),
+        lambda z: empirical_stieltjes([0.0, 1.0], z),
+        lambda z: empirical_curve([0.0, 1.0], [1j, z]),
+        lambda z: StieltjesCurve([1j, z], [0.5j, 0.5j]),
+    ],
+    ids=[
+        "semicircle_transform",
+        "contraction_certificate",
+        "continuity_bound",
+        "solve_profile",
+        "solve_curve",
+        "solve_product_form",
+        "empirical_stieltjes",
+        "empirical_curve",
+        "StieltjesCurve",
+    ],
+)
+def test_entry_points_reject_points_off_the_upper_half_plane(call, z):
+    with pytest.raises(InvalidInput, match="points z must"):
+        call(z)

@@ -115,13 +115,6 @@ class TestCovarianceFromVolterra:
         g = covariance_from_volterra(bv, 4).gamma
         assert np.allclose(g, g[::-1, ::-1], atol=1e-12)
 
-    def test_innovation_variance_scales_squared(self):
-        bv1 = VolterraCoefficients({((0, 0), (1, 0)): 1.0}, innovation_variance=1.0)
-        bv2 = VolterraCoefficients({((0, 0), (1, 0)): 1.0}, innovation_variance=2.0)
-        assert covariance_from_volterra(bv2, 0).variance == pytest.approx(
-            4.0 * covariance_from_volterra(bv1, 0).variance
-        )
-
     def test_rejects_diagonal_entry(self):
         with pytest.raises(InvalidInput):
             VolterraCoefficients({((1, 0), (1, 0)): 1.0})
@@ -266,8 +259,6 @@ class TestInvariantValidation:
             FilterCoefficients(1, np.full((3, 3), bad))
         with pytest.raises(InvalidInput, match="non-finite"):
             VolterraCoefficients({((0, 0), (1, 0)): bad})
-        with pytest.raises(InvalidInput, match="non-finite"):
-            VolterraCoefficients({((0, 0), (1, 0)): 1.0}, innovation_variance=bad)
         with pytest.raises(InvalidInput, match="non-finite"):
             CovarianceTable(0, np.array([[bad]]))
         with pytest.raises(InvalidInput, match="non-finite"):
