@@ -98,9 +98,7 @@ def read_model_file(path):
 
 def write_density_csv(path, grid):
     """Grid size on the first line, then N comma-separated rows of N values."""
-    rows = [str(grid.n)]
-    rows.extend(",".join(fmt(v) for v in row) for row in grid.values)
-    _write_text(path, "\n".join(rows) + "\n")
+    _write_rows(path, str(grid.n), grid.values.T)
 
 
 def read_density_csv(path):
@@ -120,21 +118,18 @@ CURVE_HEADER = "re_z,im_z,re_S,im_S,iterations,residual"
 
 
 def write_curve_csv(path, curve):
-    rows = [CURVE_HEADER]
-    for k in range(len(curve)):
-        rows.append(
-            ",".join(
-                (
-                    fmt(curve.z[k].real),
-                    fmt(curve.z[k].imag),
-                    fmt(curve.S[k].real),
-                    fmt(curve.S[k].imag),
-                    str(int(curve.iterations[k])),
-                    fmt(curve.residuals[k]),
-                )
-            )
-        )
-    _write_text(path, "\n".join(rows) + "\n")
+    columns = (curve.z.real, curve.z.imag, curve.S.real, curve.S.imag, curve.iterations, curve.residuals)
+    _write_rows(path, CURVE_HEADER, columns)
+
+
+def _write_rows(path, header, columns):
+    """A header line, then one comma-separated row per index of the equal-length
+    columns: integer columns as ``str(int)``, float columns with ``fmt``."""
+    cells = []
+    for col in map(np.asarray, columns):
+        text = str if col.dtype.kind in "iu" else fmt
+        cells.append([text(v) for v in col.tolist()])
+    _write_text(path, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
 
 
 def _read_rows(path, header, ncols):
@@ -177,12 +172,7 @@ TABLE_HEADER = "x,density,cdf"
 
 
 def write_table_csv(path, table):
-    rows = [TABLE_HEADER]
-    rows.extend(
-        ",".join((fmt(x), fmt(d), fmt(c)))
-        for x, d, c in zip(table.xs, table.density, table.cdf)
-    )
-    _write_text(path, "\n".join(rows) + "\n")
+    _write_rows(path, TABLE_HEADER, (table.xs, table.density, table.cdf))
 
 
 def read_table_csv(path):
@@ -193,10 +183,9 @@ def read_table_csv(path):
 
 
 def write_eigenvalues_csv(path, replicate_eigenvalues):
-    rows = ["replicate,eigenvalue"]
-    for r, eigs in enumerate(replicate_eigenvalues):
-        rows.extend(f"{r},{fmt(v)}" for v in eigs)
-    _write_text(path, "\n".join(rows) + "\n")
+    sizes = [len(eigs) for eigs in replicate_eigenvalues]
+    replicate = np.repeat(np.arange(len(sizes)), sizes)
+    _write_rows(path, "replicate,eigenvalue", (replicate, np.concatenate(replicate_eigenvalues)))
 
 
 def read_keyvalue(path):

@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidInput, LsdlabError, NoConvergence
+from .spectral import _frozen
 from .stieltjes import StieltjesCurve, _upper_half_plane
 
 __all__ = [
@@ -81,11 +82,6 @@ class SolverConfig:
 DEFAULT_CONFIG = SolverConfig()
 
 
-def _readonly(a):
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class ResolventProfile:
     """Converged profile g(., z) with its self-energy, transform and diagnostics.
@@ -106,8 +102,8 @@ class ResolventProfile:
     stages: int = 1
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=complex)
-        pi = np.asarray(self.pi, dtype=complex)
+        g = _frozen(self.g, complex)
+        pi = _frozen(self.pi, complex)
         imz = complex(self.z).imag
         slack = 1.0 + 1e-12
         if (g.imag <= 0).any():
@@ -118,13 +114,11 @@ class ResolventProfile:
             raise LsdlabError("solver postcondition failed: Im pi >= 0")
         if (np.abs(self.z + pi) < imz / slack).any():
             raise LsdlabError("solver postcondition failed: |z + pi| >= Im z")
-        hist = self.residual_history
-        if hist is None:
-            hist = np.array([self.residual])
-        object.__setattr__(self, "g", _readonly(g))
-        object.__setattr__(self, "pi", _readonly(pi))
+        hist = [self.residual] if self.residual_history is None else self.residual_history
+        object.__setattr__(self, "g", g)
+        object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "S", complex(g.mean()))
-        object.__setattr__(self, "residual_history", _readonly(np.asarray(hist, dtype=float)))
+        object.__setattr__(self, "residual_history", _frozen(hist))
 
 
 @dataclass(frozen=True)
@@ -180,10 +174,6 @@ def continuity_bound(b1, b2, z):
     return float(z.imag * l1 / ((z.imag**2 - bmax) * z.imag**2))
 
 
-def _effective_damping(cfg, certificate):
-    return cfg.damping if certificate < 1.0 else 0.5 * cfg.damping
-
-
 def _ladder_heights(im_target, mass, cfg):
     h = cfg.safe_height_multiplier * max(im_target, 2.0 * np.sqrt(mass + 1.0))
     heights = [h]
@@ -192,12 +182,6 @@ def _ladder_heights(im_target, mass, cfg):
     if heights[-1] > im_target:
         heights.append(im_target)
     return heights
-
-
-def _stage_plan(im_target, mass, cfg):
-    if mass == 0.0 or im_target > np.sqrt(mass):
-        return [im_target]
-    return _ladder_heights(im_target, mass, cfg)
 
 
 # Inner ladder stages only seed the next, lower stage, so they stop at this
@@ -215,25 +199,26 @@ def _no_convergence(z, stage, height, residual, iterations):
     )
 
 
-def _stage_tolerance(cfg, stage, heights):
-    if stage == len(heights) - 1:
-        return cfg.tolerance
-    return max(_INNER_TOLERANCE, cfg.tolerance)
-
-
 def _attempts(im_target, mass, cfg, warm):
-    """Stage heights to try in turn for one point.
+    """Stages to try in turn for one point, as (height, damping, tolerance, certified).
 
     A warm first attempt is one direct stage from the previous converged pi;
-    every later attempt restarts from pi = 0. A single certified-region
-    stage that stalls is retried through the full ladder.
+    every later attempt restarts from pi = 0. A point in the certified region
+    (Im z > sqrt(B)) plans one direct stage and retries a stall through the
+    full ladder; below it the ladder is the plan. A stage is certified when
+    B/h^2 < 1, and then runs at the full damping, else at half of it.
     """
-    plan = _stage_plan(im_target, mass, cfg)
-    attempts = [[im_target]] if warm else []
-    attempts.append(plan)
-    if len(plan) == 1:
-        attempts.append(_ladder_heights(im_target, mass, cfg))
-    return attempts
+    ladder = _ladder_heights(im_target, mass, cfg)
+    plans = [[im_target], ladder] if im_target > np.sqrt(mass) else [ladder]
+    if warm:
+        plans.insert(0, [im_target])
+
+    def stage(h, tol):
+        certified = mass / (h * h) < 1.0
+        return h, cfg.damping if certified else 0.5 * cfg.damping, tol, certified
+
+    inner = max(_INNER_TOLERANCE, cfg.tolerance)
+    return [[stage(h, inner) for h in hs[:-1]] + [stage(hs[-1], cfg.tolerance)] for hs in plans]
 
 
 class _Column:
@@ -249,7 +234,7 @@ class _Column:
         self.history = []  # residuals of the current stage
 
     @property
-    def heights(self):
+    def stages(self):
         return self.attempts[self.attempt]
 
 
@@ -282,14 +267,11 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False):
         buf[0].reshape(n, size)[:, 0] = pi0
 
     def start_stage(k, col):
-        h = col.heights[col.stage]
-        cert = mass / (h * h)
-        d = _effective_damping(cfg, cert)
+        h, d, tol[k], certified = col.stages[col.stage]
         z[k] = complex(zs[col.points[col.next]].real, h)
         damp[k], rest[k] = d, 1.0 - d
-        tol[k] = _stage_tolerance(cfg, col.stage, col.heights)
         start[k] = it  # also resets the column's mixing history
-        mixed[k] = cert >= 1.0
+        mixed[k] = not certified
         col.history = []
 
     def start_point(k, col, warm):
@@ -357,19 +339,19 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False):
             col.count += stage_its
             if done[k]:
                 pi[:, k] = pif[:, k]
-                if col.stage + 1 < len(col.heights):
+                if col.stage + 1 < len(col.stages):
                     col.stage += 1
                     start_stage(k, col)
                     continue
                 p = col.points[col.next]
                 yield p, ResolventProfile(
                     z=zs[p],
-                    g=g[:, k].copy(),
-                    pi=pif[:, k].copy(),
+                    g=g[:, k],
+                    pi=pif[:, k],
                     iterations=col.count,
                     residual=float(res[k]),
                     residual_history=col.history if history else None,
-                    stages=len(col.heights),
+                    stages=len(col.stages),
                 )
                 col.count = 0
                 col.next += 1
@@ -384,7 +366,7 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False):
                 start_stage(k, col)
             else:
                 raise _no_convergence(
-                    zs[col.points[col.next]], col.stage, col.heights[col.stage], float(res[k]), stage_its
+                    zs[col.points[col.next]], col.stage, col.stages[col.stage][0], float(res[k]), stage_its
                 )
         if None in cols:
             keep = [k for k, col in enumerate(cols) if col is not None]
@@ -500,11 +482,9 @@ def solve_product_form(t, z, cfg=None):
     z = _upper_half_plane(z)
     tv = np.asarray(t.values, dtype=float)
     m2 = float(np.mean(tv * tv))
-    for heights in _attempts(z.imag, m2, cfg, warm=False):
+    for stages in _attempts(z.imag, m2, cfg, warm=False):
         v, total = 0j, 0
-        for stage, h in enumerate(heights):
-            d = _effective_damping(cfg, m2 / (h * h))
-            tol = _stage_tolerance(cfg, stage, heights)
+        for stage, (h, d, tol, _) in enumerate(stages):
             v, res, its, ok = _scalar_stage(tv, complex(z.real, h), v, d, tol, cfg.max_iterations)
             total += its
             if not ok:

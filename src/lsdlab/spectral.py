@@ -37,8 +37,10 @@ __all__ = [
 ]
 
 
-def _readonly(a):
-    a = np.asarray(a)
+def _frozen(a, dtype=float):
+    """A read-only copy of ``a``: value types own their arrays and never
+    freeze the caller's."""
+    a = np.array(a, dtype=dtype)
     a.setflags(write=False)
     return a
 
@@ -64,13 +66,13 @@ class FilterCoefficients:
     def __post_init__(self):
         if self.m < 0:
             raise InvalidInput("support radius must be >= 0")
-        c = np.asarray(self.coeffs, dtype=float)
+        c = _frozen(self.coeffs)
         side = 2 * self.m + 1
         if c.shape != (side, side):
             raise InvalidInput(f"coefficient table must be {side}x{side}, got {c.shape}")
         if not np.isfinite(c).all():
             raise InvalidInput("filter coefficients have non-finite values")
-        object.__setattr__(self, "coeffs", _readonly(c))
+        object.__setattr__(self, "coeffs", c)
         object.__setattr__(self, "sum_squares", float(np.sum(c * c)))
 
     @classmethod
@@ -91,11 +93,6 @@ class FilterCoefficients:
             seen.add((u, v))
             c[u + m, v + m] = a
         return cls(m, c)
-
-    def coefficient(self, u, v):
-        if abs(u) > self.m or abs(v) > self.m:
-            return 0.0
-        return float(self.coeffs[u + self.m, v + self.m])
 
 
 @dataclass(frozen=True)
@@ -146,7 +143,7 @@ class CovarianceTable:
     def __post_init__(self):
         if self.radius < 0:
             raise InvalidInput("radius must be >= 0")
-        g = np.asarray(self.gamma, dtype=float)
+        g = _frozen(self.gamma)
         side = 2 * self.radius + 1
         if g.shape != (side, side):
             raise InvalidInput(f"covariance table must be {side}x{side}, got {g.shape}")
@@ -159,16 +156,11 @@ class CovarianceTable:
             raise InvalidInput("variance gamma[0,0] must be nonnegative")
         if np.abs(g).max() > g[self.radius, self.radius] * (1.0 + 1e-12) + 1e-15:
             raise InvalidInput("covariance table violates |gamma[k,l]| <= gamma[0,0]")
-        object.__setattr__(self, "gamma", _readonly(g))
+        object.__setattr__(self, "gamma", g)
 
     @property
     def variance(self):
         return float(self.gamma[self.radius, self.radius])
-
-    def at(self, k, l):
-        if abs(k) > self.radius or abs(l) > self.radius:
-            return 0.0
-        return float(self.gamma[k + self.radius, l + self.radius])
 
     def is_exchange_symmetric(self):
         """True when gamma[k, l] == gamma[l, k] to 1e-10 (1 + gamma[0,0]), as the mirrored model needs."""
@@ -195,10 +187,11 @@ class DensityGrid:
         if not np.isfinite(v).all():
             raise InvalidInput("density grid has non-finite values")
         scale = max(1.0, float(np.abs(v).max()) if v.size else 1.0)
-        v = np.where((v < 0) & (v > -1e-12 * scale), 0.0, v)
+        v = np.where((v < 0) & (v > -1e-12 * scale), 0.0, v)  # a fresh array: no copy needed
         if (v < 0).any():
             raise InvalidInput("density grid has negative values")
-        object.__setattr__(self, "values", _readonly(v))
+        v.setflags(write=False)
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "mass", float(v.mean()))
 
     def is_symmetric(self):
@@ -213,14 +206,14 @@ class ProfileFunction:
     values: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.values, dtype=float)
+        t = _frozen(self.values)
         if t.ndim != 1 or t.size < 1:
             raise InvalidInput("profile must be a nonempty 1-D array")
         if not np.isfinite(t).all():
             raise InvalidInput("profile has non-finite values")
         if (t < 0).any():
             raise InvalidInput("profile values must be nonnegative")
-        object.__setattr__(self, "values", _readonly(t))
+        object.__setattr__(self, "values", t)
 
     @property
     def n(self):

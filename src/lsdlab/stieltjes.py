@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidInput
+from .spectral import _frozen
 
 __all__ = [
     "StieltjesCurve",
@@ -26,11 +27,6 @@ __all__ = [
     "levy_distance",
     "sup_curve_gap",
 ]
-
-
-def _readonly(a):
-    a.setflags(write=False)
-    return a
 
 
 def _upper_half_plane(z):
@@ -57,11 +53,11 @@ class StieltjesCurve:
     residuals: np.ndarray = None
 
     def __post_init__(self):
-        z = np.asarray(self.z, dtype=complex)
-        s = np.asarray(self.S, dtype=complex)
+        z = _frozen(self.z, complex)
+        s = _frozen(self.S, complex)
         zeros = np.zeros(z.shape)
-        it = np.asarray(zeros if self.iterations is None else self.iterations, dtype=np.int64)
-        res = np.asarray(zeros if self.residuals is None else self.residuals, dtype=float)
+        it = _frozen(zeros if self.iterations is None else self.iterations, np.int64)
+        res = _frozen(zeros if self.residuals is None else self.residuals)
         if not (z.shape == s.shape == it.shape == res.shape) or z.ndim != 1 or z.size == 0:
             raise InvalidInput("curve arrays must be equal-length nonempty 1-D arrays")
         _upper_half_plane(z)
@@ -71,10 +67,10 @@ class StieltjesCurve:
             raise InvalidInput("curve values must have Im S > 0")
         if (np.abs(s) > (1.0 + 1e-9) / z.imag).any():
             raise InvalidInput("curve violates |S| <= 1/Im z")
-        object.__setattr__(self, "z", _readonly(z))
-        object.__setattr__(self, "S", _readonly(s))
-        object.__setattr__(self, "iterations", _readonly(it))
-        object.__setattr__(self, "residuals", _readonly(res))
+        object.__setattr__(self, "z", z)
+        object.__setattr__(self, "S", s)
+        object.__setattr__(self, "iterations", it)
+        object.__setattr__(self, "residuals", res)
 
     def __len__(self):
         return self.z.size
@@ -116,9 +112,9 @@ class DistributionTable:
     cdf: np.ndarray
 
     def __post_init__(self):
-        xs = np.asarray(self.xs, dtype=float)
-        den = np.asarray(self.density, dtype=float)
-        cdf = np.asarray(self.cdf, dtype=float)
+        xs = _frozen(self.xs)
+        den = _frozen(self.density)
+        cdf = _frozen(self.cdf)
         if not (xs.shape == den.shape == cdf.shape) or xs.ndim != 1 or xs.size < 2:
             raise InvalidInput("table arrays must be equal-length 1-D arrays, length >= 2")
         if (np.diff(xs) <= 0).any():
@@ -132,9 +128,9 @@ class DistributionTable:
         segs = 0.5 * (den[1:] + den[:-1]) * np.diff(xs)
         if np.abs(segs - np.diff(cdf)).max() > 1e-8:
             raise InvalidInput("cdf increments disagree with trapezoid integral of density")
-        object.__setattr__(self, "xs", _readonly(xs))
-        object.__setattr__(self, "density", _readonly(den))
-        object.__setattr__(self, "cdf", _readonly(cdf))
+        object.__setattr__(self, "xs", xs)
+        object.__setattr__(self, "density", den)
+        object.__setattr__(self, "cdf", cdf)
 
     @property
     def uncaptured(self):

@@ -20,10 +20,11 @@ def test_model_file_filter_round_trip(tmp_path):
     path.write_text("# two-tap filter\n0 0 1.0\n1 0 0.5\n\n-1 2 -0.25\n")
     kind, model = io.read_model_file(path)
     assert kind == "filter"
-    assert model.coefficient(0, 0) == 1.0
-    assert model.coefficient(1, 0) == 0.5
-    assert model.coefficient(-1, 2) == -0.25
     assert model.m == 2
+    m = model.m
+    assert model.coeffs[0 + m, 0 + m] == 1.0
+    assert model.coeffs[1 + m, 0 + m] == 0.5
+    assert model.coeffs[-1 + m, 2 + m] == -0.25
 
 
 def test_model_file_volterra(tmp_path):

@@ -4,16 +4,23 @@ import pytest
 from lsdlab import (
     CovarianceTable,
     DensityGrid,
+    DistributionTable,
+    EmpiricalSpectrum,
+    EnsembleConfig,
     FilterCoefficients,
     InvalidInput,
     NotADensity,
     ProfileFunction,
+    ResolventProfile,
+    StieltjesCurve,
     VolterraCoefficients,
     covariance_from_filter,
     covariance_from_volterra,
     density_from_covariance,
     density_from_filter,
     density_from_profile,
+    empirical_curve,
+    ensemble_esd,
     profile_from_density,
     profile_from_steps,
     symmetrize_density,
@@ -43,11 +50,12 @@ class TestCovarianceFromFilter:
     def test_two_tap_by_hand(self):
         # direct convolution: gamma[0,0] = 2, gamma[+-1,0] = 1, rest 0
         table = covariance_from_filter(TWO_TAP, 1)
-        assert table.at(0, 0) == pytest.approx(2.0)
-        assert table.at(1, 0) == pytest.approx(1.0)
-        assert table.at(-1, 0) == pytest.approx(1.0)
-        assert table.at(0, 1) == 0.0
-        assert table.at(1, 1) == 0.0
+        R = table.radius
+        assert table.gamma[0 + R, 0 + R] == pytest.approx(2.0)
+        assert table.gamma[1 + R, 0 + R] == pytest.approx(1.0)
+        assert table.gamma[-1 + R, 0 + R] == pytest.approx(1.0)
+        assert table.gamma[0 + R, 1 + R] == 0.0
+        assert table.gamma[1 + R, 1 + R] == 0.0
 
     def test_point_symmetry_for_random_filters(self):
         rng = np.random.default_rng(7)
@@ -58,10 +66,11 @@ class TestCovarianceFromFilter:
 
     def test_vanishes_beyond_twice_support(self):
         table = covariance_from_filter(TWO_TAP, 5)
+        R = table.radius
         for k in range(-5, 6):
             for l in range(-5, 6):
                 if abs(k) > 2 or abs(l) > 2:
-                    assert table.at(k, l) == 0.0
+                    assert table.gamma[k + R, l + R] == 0.0
 
 
 class TestDensityFromFilter:
@@ -280,3 +289,31 @@ class TestInvariantValidation:
             grid = density_from_filter(a, 2 * (2 * a.m) + 2)
             gamma00 = covariance_from_filter(a, 0).variance
             assert grid.mass == pytest.approx(gamma00, abs=1e-10)
+
+
+# value type or builder: (its stored array, given the caller's array a; a factory for a)
+OWNED_ARRAYS = {
+    "FilterCoefficients": (lambda a: FilterCoefficients(1, a).coeffs, lambda: np.ones((3, 3))),
+    "CovarianceTable": (lambda a: CovarianceTable(1, a).gamma, lambda: np.diag([0.0, 1.0, 0.0])),
+    "DensityGrid": (lambda a: DensityGrid(2, a).values, lambda: np.ones((2, 2))),
+    "ProfileFunction": (lambda a: ProfileFunction(a).values, lambda: np.ones(4)),
+    "StieltjesCurve": (lambda a: StieltjesCurve(a, [0.5j, 0.25j]).z, lambda: np.array([1j, 2j])),
+    "DistributionTable": (lambda a: DistributionTable(a, [1.0, 1.0], [0.0, 1.0]).xs, lambda: np.array([0.0, 1.0])),
+    "ResolventProfile": (lambda a: ResolventProfile(z=1j, g=a, pi=a).g, lambda: np.full(4, 0.5j)),
+    "EmpiricalSpectrum": (lambda a: EmpiricalSpectrum(a).eigenvalues, lambda: np.array([1.0, -1.0])),
+    "empirical_curve": (lambda a: empirical_curve([0.0, 1.0], a).z, lambda: np.array([1j, 2j])),
+    "ensemble_esd": (
+        lambda a: ensemble_esd(EnsembleConfig(n=8, replicates=1, seed=1, model=DELTA), contour=a).curve.z,
+        lambda: np.array([1j, 2j]),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(OWNED_ARRAYS))
+def test_values_own_frozen_copies_of_caller_arrays(name):
+    stored_from, make = OWNED_ARRAYS[name]
+    a = make()
+    stored = stored_from(a)
+    assert a.flags.writeable
+    assert not stored.flags.writeable
+    assert not np.shares_memory(stored, a)
