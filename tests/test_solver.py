@@ -27,8 +27,29 @@ from lsdlab.spectral import FilterCoefficients, ProfileFunction
 from test_spectral import random_filter
 
 
+MA3 = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
+
+
 def constant_density(sigma2, n=64):
     return DensityGrid(n, np.full((n, n), float(sigma2)))
+
+
+def full_rank_density(rng, n, mass):
+    """Symmetric positive grid of full rank with the given mass."""
+    v = rng.uniform(0.5, 1.5, size=(n, n))
+    v += v.T
+    return DensityGrid(n, v * (mass / v.mean()))
+
+
+def product_plus_faint_constant(rng):
+    """t(x) t(y) + 1e-9: rank 2, with a second term far below the first but above the factor's cutoff."""
+    t = rng.uniform(1.0, 2.0, 64)
+    return DensityGrid(64, np.outer(t, t) + 1e-9)
+
+
+def filter_of_order(rng, m):
+    """Random filter with every coefficient of |u|, |v| <= m drawn, so its density has rank 4m + 1."""
+    return FilterCoefficients(m, rng.uniform(-1.0, 1.0, size=(2 * m + 1, 2 * m + 1)))
 
 
 class TestSemicircleTransform:
@@ -252,7 +273,9 @@ class TestSolveCurve:
             assert res <= 1e-10
 
     def test_loose_inner_stages_save_iterations(self, monkeypatch):
-        b = constant_density(4.0, 48)
+        # a full-rank grid runs the N x N map, whose points below sqrt(mass) take the ladder
+        b = full_rank_density(np.random.default_rng(41), 48, 4.0)
+        assert solver._factor(b) is None
         contour = np.linspace(-3.0, 3.0, 13) + 0.1j  # below sqrt(mass) = 2: ladders
         loose = solve_curve(b, contour)
         monkeypatch.setattr(solver, "_INNER_TOLERANCE", 0.0)  # every stage to full tolerance
@@ -261,10 +284,22 @@ class TestSolveCurve:
         assert np.abs(loose.S - full.S).max() <= 10 * 1e-10
 
     def test_readme_contour_column_iterations(self):
-        # Anderson mixing in the uncertified stages; 14,914 without it
-        a = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
-        curve = solve_curve(density_from_filter(a, 128), np.linspace(-9.0, 9.0, 121) + 0.05j)
-        assert curve.iterations.sum() <= 7_500
+        # Newton steps in 3 unknowns at the target height take 764; the
+        # Anderson-mixed ladder took 6,874 and the plain ladder 14,914
+        curve = solve_curve(density_from_filter(MA3, 128), np.linspace(-9.0, 9.0, 121) + 0.05j)
+        assert curve.iterations.sum() <= 1_500
+
+    def test_newton_curve_matches_single_point_solves(self):
+        rng = np.random.default_rng(43)
+        for _ in range(4):
+            b = density_from_filter(random_filter(rng), 48)
+            assert solver._factor(b) is not None
+            root = np.sqrt(b.mass)
+            contour = np.concatenate([np.linspace(-3.0, 3.0, 7) * root + 0.05j, 0.4 + 1j * np.geomspace(0.05, 3.0, 4)])
+            curve = solve_curve(b, contour)
+            for z, s, res in zip(curve.z, curve.S, curve.residuals):
+                assert abs(s - solve_profile(b, z).S) <= 10 * 1e-10
+                assert res <= 1e-10
 
     def test_no_convergence_names_the_contour_point(self):
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
@@ -315,7 +350,7 @@ class TestProductForm:
         assert not ok and its == 1 and np.isnan(res)
 
     def test_stalled_certified_stage_retries_through_ladder(self):
-        # Im z > sqrt(m2) plans one direct stage, which stalls within 4 iterations
+        # every point plans one direct stage first, which stalls within 4 iterations
         t = profile_from_steps([1.0], 8)
         assert not solver._scalar_stage(t.values, 1.05j, 0j, 1.0, 1e-10, 4)[3]
         sol = solve_product_form(t, 1.05j, SolverConfig(max_iterations=4))
@@ -323,11 +358,25 @@ class TestProductForm:
         # the 4-stage ladder's iterations; the stalled attempt's 4 are not counted
         assert sol.iterations == 13
 
+    def test_points_near_the_axis_converge_without_a_ladder(self, monkeypatch):
+        heights = []
+        stage = solver._scalar_stage
+        monkeypatch.setattr(solver, "_scalar_stage", lambda t, z, *rest: heights.append(z.imag) or stage(t, z, *rest))
+        t = profile_from_steps([0.5, 1.5, 1.0], 64)
+        for x in np.linspace(-3.0, 3.0, 13):
+            assert solve_product_form(t, x + 0.05j).residual <= 1e-10
+        assert heights == [0.05] * 13
+
     def test_newton_steps_save_iterations(self):
         # 2,000 iterations with the damped step alone
         t = profile_from_steps([0.5, 1.5, 1.0], 64)
         sols = [solve_product_form(t, x + 0.05j) for x in np.linspace(-3.0, 3.0, 13)]
         assert sum(sol.iterations for sol in sols) <= 1_000
+
+    def test_subnormal_profile_passes_its_postconditions(self):
+        # Im v ~ 2.5e-324 rounds to 0, which the Herglotz check must accept
+        sol = solve_product_form(ProfileFunction(np.array([5e-324])), 2j)
+        assert sol.v == 0.0 and sol.S == -1.0 / 2j
 
     def test_scalar_invariants(self):
         rng = np.random.default_rng(31)
@@ -375,3 +424,42 @@ class TestProductForm:
 def test_entry_points_reject_points_off_the_upper_half_plane(call, z):
     with pytest.raises(InvalidInput, match="points z must"):
         call(z)
+
+
+class TestFactor:
+    @pytest.mark.parametrize(
+        "make, rank",
+        [
+            (lambda rng: density_from_profile(profile_from_steps([0.7, 1.8, 1.1], 128)), 1),
+            (lambda rng: density_from_filter(MA3, 128), 3),
+            (lambda rng: density_from_filter(filter_of_order(rng, 1), 128), 5),
+            (lambda rng: density_from_filter(filter_of_order(rng, 2), 128), 9),
+            (lambda rng: density_from_filter(filter_of_order(rng, 3), 128), 13),
+            (product_plus_faint_constant, 2),
+        ],
+        ids=["product", "ma3", "filter-m1", "filter-m2", "filter-m3", "faint-second-term"],
+    )
+    def test_rebuilds_low_rank_densities(self, make, rank):
+        b = make(np.random.default_rng(47))
+        u, w = solver._factor(b)
+        assert u.shape == (b.n, rank) and w.shape == (rank, b.n)
+        assert np.abs(b.n * (u @ w) - b.values).max() <= 1e-12 * b.values.max()
+
+    def test_remainder_below_the_cutoff_still_meets_tolerance(self):
+        # rank 1 to within 1e-12: Newton steps in the factor's r unknowns alone
+        # would stall at the remainder's residual, just above the tolerance
+        v = np.full((5, 5), 1e-12)
+        v[0, 0] = 1.0
+        b = DensityGrid(5, v)
+        assert solver._factor(b)[0].shape == (5, 1)
+        curve = solve_curve(b, [0.2j])
+        assert curve.residuals[0] <= 1e-10
+        assert abs(curve.S[0] - solve_profile(b, 0.2j).S) <= 10 * 1e-10
+
+    def test_full_rank_grid_is_not_factored(self):
+        assert solver._factor(full_rank_density(np.random.default_rng(53), 64, 1.0)) is None
+
+    def test_zero_density_has_rank_zero(self):
+        u, w = solver._factor(constant_density(0.0, 8))
+        assert u.shape == (8, 0) and w.shape == (0, 8)
+        assert np.array_equal(solve_curve(constant_density(0.0, 8), [0.4 + 0.8j]).S, [-1.0 / (0.4 + 0.8j)])
