@@ -30,6 +30,7 @@ from .spectral import (
 )
 from .stieltjes import (
     StieltjesCurve,
+    _check_grid,
     invert_to_distribution,
     kolmogorov_distance,
     levy_distance,
@@ -56,7 +57,10 @@ def parse_contour_spec(spec):
         raise InvalidInput(f"bad contour spec {spec!r}: unknown keys {sorted(parts)}")
     if not 0 < eps < np.inf:
         raise InvalidInput(f"contour height must be positive and finite, got {eps}")
-    return parse_range_spec(re_spec) + 1j * eps
+    reals = parse_range_spec(re_spec)
+    if reals.size == 0:
+        raise InvalidInput(f"bad contour spec {spec!r}: no points")
+    return reals + 1j * eps
 
 
 def parse_range_spec(spec):
@@ -140,7 +144,7 @@ def cmd_density(args):
 
 def cmd_solve(args):
     contour = parse_contour_spec(args.contour)
-    xs = parse_range_spec(args.xs) if args.xs else None
+    xs = _check_grid(parse_range_spec(args.xs)) if args.xs else None
     grid, radius = _load_density(args)
     cfg = io.solver_config_from_file(args.solver_config) if args.solver_config else DEFAULT_CONFIG
     if args.product_form:

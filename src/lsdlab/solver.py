@@ -20,9 +20,9 @@ Uncertified stages accelerate the damped update with Anderson mixing of
 depth 1, accepting a mixed step only if it keeps Im pi >= 0; certified
 stages run the plain update, whose rate the certificate bounds.
 
-A contour is solved as one N x P block: every point (or chain of points
-sharing Re z) is a column with its own height, damping and tolerance, and
-one iteration is one real matrix product with b for the whole contour. When
+A contour is solved as one N x P block: every point is a column with its
+own height, damping and tolerance, started from pi = 0, and one iteration
+is one real matrix product with b for the whole contour. When
 b/N = U W has low rank r, each column of solve_curve instead takes Newton
 steps with the r x r Jacobian I - W diag(g^2) U, first directly at its target
 height; such an iteration adds one r x r solve per column, and its residual
@@ -210,21 +210,18 @@ def _no_convergence(z, stage, height, residual, iterations):
     )
 
 
-def _attempts(im_target, mass, cfg, warm, newton=False):
+def _attempts(im_target, mass, cfg, newton=False):
     """Stages to try in turn for one point, as (height, damping, tolerance, certified, budget).
 
-    A warm first attempt is one direct stage from the previous converged pi;
-    every later attempt restarts from pi = 0. A point in the certified region
+    Every attempt starts from pi = 0. A point in the certified region
     (Im z > sqrt(B)) plans one direct stage and retries a stall through the
     full ladder; below it the ladder is the plan. A ``newton`` point always
-    tries one direct stage first, warm or from zero, within
-    _NEWTON_DIRECT_ITERATIONS. A stage is certified when B/h^2 < 1, and then
-    runs at the full damping, else at half of it.
+    tries one direct stage first, within _NEWTON_DIRECT_ITERATIONS. A stage
+    is certified when B/h^2 < 1, and then runs at the full damping, else at
+    half of it.
     """
     ladder = _ladder_heights(im_target, mass, cfg)
     plans = [[im_target], ladder] if newton or im_target > np.sqrt(mass) else [ladder]
-    if warm and not newton:
-        plans.insert(0, [im_target])
     first = min(cfg.max_iterations, _NEWTON_DIRECT_ITERATIONS) if newton else cfg.max_iterations
     budgets = [first] + [cfg.max_iterations] * (len(plans) - 1)
 
@@ -260,15 +257,14 @@ def _factor(b):
 
 
 class _Column:
-    """A chain of contour points sharing Re z, solved top-down in one block column."""
+    """One contour point, solved in one block column."""
 
-    def __init__(self, points):
-        self.points = points  # indices into the contour, descending Im z
-        self.next = 0  # position in ``points`` of the point being solved
-        self.attempts = []
+    def __init__(self, point, attempts):
+        self.point = point  # index into the contour
+        self.attempts = attempts
         self.attempt = 0
         self.stage = 0
-        self.count = 0  # column-iterations since the previous emitted point
+        self.count = 0  # column-iterations over all attempts
         self.history = []  # residuals of the current stage
 
     @property
@@ -276,15 +272,14 @@ class _Column:
         return self.attempts[self.attempt]
 
 
-def _solve_block(b, zs, chains, cfg, pi0=None, history=False, factor=None):
-    """Solve every chain as one column of an N x P block fixed point.
+def _solve_block(b, zs, cfg, history=False, factor=None):
+    """Solve every point of zs as one column of an N x P block fixed point.
 
     Each iteration costs one real matrix product for all columns. A column
-    runs the plan of its chain's highest point, emits that point, then
-    plans each lower point warm; finished columns leave the block. ``pi0``
-    warm-starts the point of a one-point block; ``factor`` = (U, W) from
-    _factor switches every column to Newton steps. Yields (point index,
-    ResolventProfile) as points converge.
+    runs its point's attempts from pi = 0 and leaves the block once the
+    point converges; ``factor`` = (U, W) from _factor switches every column
+    to Newton steps. Yields (index into zs, ResolventProfile) as points
+    converge.
     """
     n, mass = b.n, b.mass
     bvals = np.ascontiguousarray(b.values)
@@ -294,8 +289,8 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False, factor=None):
         r = U.shape[1]
         # row i r + j of jac is W[i, :] U[:, j], so jac @ g^2 stacks W diag(g^2) U
         jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, n)
-    plan = functools.cache(lambda h, warm: _attempts(h, mass, cfg, warm, newton))  # one schedule per height
-    cols = [_Column(chain) for chain in chains]
+    plan = functools.cache(lambda h: _attempts(h, mass, cfg, newton))  # one schedule per height
+    cols = [_Column(p, plan(z.imag)) for p, z in enumerate(zs)]
     size = len(cols)
     # pi, g, F(pi), two scratch rows, and the previous step f and update G
     # of the Anderson mixing (or the Newton point); the active block is a contiguous
@@ -310,24 +305,17 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False, factor=None):
     budget = np.zeros(size, dtype=np.int64)
     mixed = np.zeros(size, dtype=bool)  # stage outside the certified region
     it = 0
-    if pi0 is not None:
-        buf[0].reshape(n, size)[:, 0] = pi0
 
     def start_stage(k, col):
         h, d, tol[k], certified, budget[k] = col.stages[col.stage]
-        z[k] = complex(zs[col.points[col.next]].real, h)
+        z[k] = complex(zs[col.point].real, h)
         damp[k], rest[k] = d, 1.0 - d
         start[k] = it  # also resets the column's mixing history
         mixed[k] = not (certified or newton)
         col.history = []
 
-    def start_point(k, col, warm):
-        col.attempts = plan(zs[col.points[col.next]].imag, warm)
-        col.attempt = col.stage = 0
-        start_stage(k, col)
-
     for k, col in enumerate(cols):
-        start_point(k, col, warm=pi0 is not None)
+        start_stage(k, col)
     mixing = bool(mixed.any())
     active, deadline = 0, int(budget.min())
     while cols:
@@ -409,9 +397,8 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False, factor=None):
                     col.stage += 1
                     start_stage(k, col)
                     continue
-                p = col.points[col.next]
-                yield p, ResolventProfile(
-                    z=zs[p],
+                yield col.point, ResolventProfile(
+                    z=zs[col.point],
                     g=g[:, k],
                     pi=pif[:, k],
                     iterations=col.count,
@@ -419,21 +406,14 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False, factor=None):
                     residual_history=col.history if history else None,
                     stages=len(col.stages),
                 )
-                col.count = 0
-                col.next += 1
-                if col.next < len(col.points):
-                    start_point(k, col, warm=True)
-                else:
-                    cols[k] = None
+                cols[k] = None
             elif res[k] < np.inf and col.attempt + 1 < len(col.attempts):
                 col.attempt += 1
                 col.stage = 0
                 pi[:, k] = 0.0
                 start_stage(k, col)
             else:
-                raise _no_convergence(
-                    zs[col.points[col.next]], col.stage, col.stages[col.stage][0], float(res[k]), stage_its
-                )
+                raise _no_convergence(zs[col.point], col.stage, col.stages[col.stage][0], float(res[k]), stage_its)
         if None in cols:
             keep = [k for k, col in enumerate(cols) if col is not None]
             cols = [cols[k] for k in keep]
@@ -448,24 +428,13 @@ def _solve_block(b, zs, chains, cfg, pi0=None, history=False, factor=None):
         deadline = int((start + budget)[: len(cols)].min(initial=it))
 
 
-def solve_profile(b, z, cfg=None, initial_pi=None):
+def solve_profile(b, z, cfg=None):
     """Solve the discretized self-consistent equation at one point.
 
-    This is the one-column case of the block solve in ``solve_curve``.
-    ``initial_pi`` seeds a direct solve at the target (it must have
-    Im >= 0), with a cold continuation restart as fallback. The profile's
-    ``residual_history`` is the trace of its final stage.
+    This is the one-column case of the block solve in ``solve_curve``. The
+    profile's ``residual_history`` is the trace of its final stage.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    z = _upper_half_plane(z)
-    pi0 = None
-    if initial_pi is not None:
-        pi0 = np.asarray(initial_pi, dtype=complex)
-        if pi0.shape != (b.n,):
-            raise InvalidInput("initial_pi must match the grid size")
-        if (pi0.imag < 0).any():
-            raise InvalidInput("initial_pi must have nonnegative imaginary part")
-    ((_, profile),) = _solve_block(b, [z], [[0]], cfg, pi0=pi0, history=True)
+    ((_, profile),) = _solve_block(b, [_upper_half_plane(z)], cfg or DEFAULT_CONFIG, history=True)
     return profile
 
 
@@ -486,28 +455,24 @@ def measured_decay_ratio(profile):
 def solve_curve(b, contour, cfg=None):
     """Solve S(z) along a contour as one block fixed point.
 
-    Points sharing a real part form a chain, solved top-down in one block
-    column where each converged point seeds the next. Columns are
-    independent, so results do not depend on how chains share the block.
+    Every point is its own block column, started from pi = 0. Columns are
+    independent: a point's S (up to rounding) and ``iterations`` (its own
+    column-iterations, over all attempts) match a solve of that point alone.
     A density of rank r <= _NEWTON_MAX_RANK (one _factor per call) is solved
     by Newton steps in r unknowns, whose iterations each cost a matrix
     product with b plus an r x r solve; other densities run the N x N map.
     Points come back in (descending Im z, ascending Re z) order.
     """
     cfg = cfg or DEFAULT_CONFIG
-    pts = _upper_half_plane(np.ravel(contour)).tolist()
-    if not pts:
+    zs = sorted(_upper_half_plane(np.ravel(contour)).tolist(), key=lambda z: (-z.imag, z.real))
+    if not zs:
         raise InvalidInput("contour must contain at least one point")
-    order = sorted(range(len(pts)), key=lambda i: (-pts[i].imag, pts[i].real))
-    chains = {}
-    for i in order:
-        chains.setdefault(pts[i].real, []).append(i)
-    S = np.empty(len(pts), dtype=complex)
-    iterations = np.empty(len(pts), dtype=np.int64)
-    residuals = np.empty(len(pts))
-    for i, prof in _solve_block(b, pts, list(chains.values()), cfg, factor=_factor(b)):
-        S[i], iterations[i], residuals[i] = prof.S, prof.iterations, prof.residual
-    return StieltjesCurve(np.array(pts)[order], S[order], iterations[order], residuals[order])
+    S = np.empty(len(zs), dtype=complex)
+    iterations = np.empty(len(zs), dtype=np.int64)
+    residuals = np.empty(len(zs))
+    for k, prof in _solve_block(b, zs, cfg, factor=_factor(b)):
+        S[k], iterations[k], residuals[k] = prof.S, prof.iterations, prof.residual
+    return StieltjesCurve(np.array(zs), S, iterations, residuals)
 
 
 def _scalar_stage(t, z, v, damping, tol, max_iter):
@@ -546,7 +511,7 @@ def solve_product_form(t, z, cfg=None):
     z = _upper_half_plane(z)
     tv = np.asarray(t.values, dtype=float)
     m2 = float(np.mean(tv * tv))
-    for stages in _attempts(z.imag, m2, cfg, warm=False, newton=True):
+    for stages in _attempts(z.imag, m2, cfg, newton=True):
         v, total = 0j, 0
         for stage, (h, d, tol, _, budget) in enumerate(stages):
             v, res, its, ok = _scalar_stage(tv, complex(z.real, h), v, d, tol, budget)

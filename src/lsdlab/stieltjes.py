@@ -8,6 +8,7 @@ mollified-vs-mollified at a common eps, so the smoothing bias cancels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,10 +32,15 @@ __all__ = [
 
 def _upper_half_plane(z):
     """z (a scalar or a 1-D array) as complex, checked to be finite with Im z > 0."""
-    z = complex(z) if np.ndim(z) == 0 else np.asarray(z, dtype=complex)
-    if not np.all(np.isfinite(z)):
+    if isinstance(z, (complex, float, int)) or np.ndim(z) == 0:  # scalars skip numpy's per-call cost
+        z = complex(z)
+        finite, upper = math.isfinite(z.real) and math.isfinite(z.imag), z.imag > 0
+    else:
+        z = np.asarray(z, dtype=complex)
+        finite, upper = np.isfinite(z).all(), (z.imag > 0).all()
+    if not finite:
         raise InvalidInput("points z must be finite")
-    if np.any(np.imag(z) <= 0):
+    if not upper:
         raise InvalidInput("points z must have Im z > 0")
     return z
 

@@ -35,6 +35,8 @@ def test_contour_spec_parsing():
         parse_contour_spec("re=-3:3:5")
     with pytest.raises(InvalidInput):
         parse_contour_spec("im=0.05,re=-3:3:5,extra=1")
+    with pytest.raises(InvalidInput, match="no points"):
+        parse_contour_spec("im=0.05,re=-3:3:0")
 
 
 class TestDensityCommand:
@@ -265,6 +267,22 @@ class TestSolveCommand:
         assert config["symmetrize"] is False
 
 
+def run_forbidding_work(tmp_path, monkeypatch, command, spec):
+    """Run ``command`` on a one-tap model with ``spec``, failing if it solves or simulates."""
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("solved or simulated a bad spec")
+
+    monkeypatch.setattr("lsdlab.cli.solve_curve", forbidden)
+    monkeypatch.setattr("lsdlab.cli.ensemble_esd", forbidden)
+    write_model(tmp_path, "0 0 1.0\n")
+    cfg = tmp_path / "ensemble.txt"
+    cfg.write_text("n = 8\nseed = 1\nmodel = model.txt\n")
+    source = str(tmp_path / "model.txt") if command == "solve" else str(cfg)
+    out = tmp_path / "o"
+    return main([command, source, *spec, "--out-dir", str(out)]), out
+
+
 NON_FINITE_SPECS = [
     ("solve", ["--contour", "im=0.05,re=-1:1:3", "--xs", "nan:1:5"]),
     ("solve", ["--contour", "im=0.05,re=-1:1:3", "--xs", "0:inf:5"]),
@@ -282,19 +300,27 @@ NON_FINITE_SPECS = [
     ids=["xs-nan", "xs-inf", "im-nan", "im-inf", "re-nan", "simulate-im-nan", "simulate-re-inf"],
 )
 def test_non_finite_spec_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command, spec):
-    def forbidden(*args, **kwargs):
-        raise AssertionError("solved or simulated a non-finite spec")
-
-    monkeypatch.setattr("lsdlab.cli.solve_curve", forbidden)
-    monkeypatch.setattr("lsdlab.cli.ensemble_esd", forbidden)
-    write_model(tmp_path, "0 0 1.0\n")
-    cfg = tmp_path / "ensemble.txt"
-    cfg.write_text("n = 8\nseed = 1\nmodel = model.txt\n")
-    source = str(tmp_path / "model.txt") if command == "solve" else str(cfg)
-    out = tmp_path / "o"
-    assert main([command, source, *spec, "--out-dir", str(out)]) == 2
+    code, out = run_forbidding_work(tmp_path, monkeypatch, command, spec)
+    assert code == 2
     assert "finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, spec",
+    [
+        ("solve", ["--contour", "im=0.05,re=-9:9:121", "--xs", "0:1:1"]),
+        ("solve", ["--contour", "im=0.05,re=-9:9:121", "--xs", "1:0:5"]),
+        ("solve", ["--contour", "im=0.05,re=-1:1:0"]),
+        ("simulate", ["--contour", "im=0.05,re=-1:1:0"]),
+    ],
+    ids=["xs-one-point", "xs-decreasing", "empty-contour", "simulate-empty-contour"],
+)
+def test_bad_grid_or_empty_contour_exits_2_before_any_work(tmp_path, monkeypatch, command, spec):
+    code, out = run_forbidding_work(tmp_path, monkeypatch, command, spec)
+    assert code == 2
+    assert not (out / "curve.csv").exists()
+    assert not (out / "eigenvalues.csv").exists()
 
 
 class TestSimulateCommand:

@@ -25,7 +25,7 @@ MIN_MASS = 1e-2
 
 
 def contour(draw, scale):
-    """Points on a small grid of real parts and heights, so that chains sharing
+    """Points on a small grid of real parts and heights, so that columns sharing
     Re z and rows sharing Im z both occur. Heights lie on both sides of
     ``scale``, the square root of the contraction mass."""
     res = draw(st.lists(st.floats(-3.0, 3.0), min_size=1, max_size=3, unique=True))

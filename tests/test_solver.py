@@ -113,15 +113,6 @@ class TestSolveProfile:
             prof = solve_profile(b, 1j * u)
             assert abs(1j * u * prof.S + 1.0) <= 2.0 * b.mass / u**2
 
-    def test_uniqueness_from_randomized_start(self):
-        rng = np.random.default_rng(13)
-        b = density_from_filter(random_filter(rng), 48)
-        z = complex(0.5, 1.5 * np.sqrt(b.mass) + 0.5)
-        cold = solve_profile(b, z)
-        noisy = rng.uniform(0, 0.3, b.n) * np.exp(1j * rng.uniform(0, np.pi, b.n))
-        warm = solve_profile(b, z, initial_pi=noisy)
-        assert abs(cold.S - warm.S) <= 10 * 1e-10
-
     def test_stored_pi_is_recomputed_from_g(self):
         b = density_from_filter(random_filter(np.random.default_rng(17)), 32)
         prof = solve_profile(b, 1j)
@@ -134,28 +125,12 @@ class TestSolveProfile:
         with pytest.raises(InvalidInput):
             solve_profile(constant_density(1.0), 1.0 + 0j)
 
-    def test_rejects_negative_imaginary_start(self):
-        b = constant_density(1.0, 8)
-        with pytest.raises(InvalidInput):
-            solve_profile(b, 1j, initial_pi=np.full(8, -0.1j))
-
     def test_no_convergence_reports_stage(self):
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
         with pytest.raises(NoConvergence) as info:
             solve_profile(constant_density(1.0), 0.05j, cfg)
         assert info.value.stage is not None
         assert info.value.residual is not None
-
-    def test_stalled_warm_start_restarts_through_ladder(self):
-        # near the spectral edge a direct stage from a poor start stalls
-        b = constant_density(4.0, 16)
-        z = 4.02 + 0.005j
-        cfg = SolverConfig(max_iterations=10)
-        cold = solve_profile(b, z, cfg)
-        warm = solve_profile(b, z, cfg, initial_pi=np.full(16, 50j))
-        assert warm.stages == cold.stages > 1
-        assert warm.S == cold.S
-        assert warm.iterations == cold.iterations + cfg.max_iterations
 
     def test_continuation_engages_below_sqrt_mass(self):
         prof = solve_profile(constant_density(4.0), 0.1j)
@@ -282,6 +257,38 @@ class TestSolveCurve:
         full = solve_curve(b, contour)
         assert loose.iterations.sum() < full.iterations.sum()
         assert np.abs(loose.S - full.S).max() <= 10 * 1e-10
+
+    def test_stalled_direct_stage_restarts_through_ladder(self, monkeypatch):
+        # near the spectral edge the direct Newton stage stalls within 5 iterations
+        b = constant_density(4.0, 16)
+        z = [4.02 + 0.005j]
+        cfg = SolverConfig(max_iterations=5)
+        stalled = solve_curve(b, z, cfg)
+        assert abs(stalled.S[0] - solve_curve(b, z).S[0]) <= 10 * 1e-10
+        attempts = solver._attempts
+        monkeypatch.setattr(solver, "_attempts", lambda *args: attempts(*args)[1:])  # the ladder alone
+        ladder = solve_curve(b, z, cfg)
+        assert stalled.S[0] == ladder.S[0]
+        assert stalled.iterations[0] == ladder.iterations[0] + cfg.max_iterations
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda rng: density_from_filter(random_filter(rng), 48),
+            lambda rng: full_rank_density(rng, 48, 2.0),
+        ],
+        ids=["newton", "full-rank"],
+    )
+    def test_points_are_solved_independently(self, make):
+        b = make(np.random.default_rng(59))
+        root = np.sqrt(b.mass)
+        row = np.linspace(-2.0, 2.0, 9) * root + 0.05j
+        chain = 0.3 + 1j * np.geomspace(0.05, 3.0, 6) * root
+        curve = solve_curve(b, np.concatenate([row, chain]))
+        for z, s, its in zip(curve.z, curve.S, curve.iterations):
+            alone = solve_curve(b, [z])
+            assert its == alone.iterations[0]
+            assert abs(s - alone.S[0]) <= 10 * 1e-10
 
     def test_readme_contour_column_iterations(self):
         # Newton steps in 3 unknowns at the target height take 764; the
