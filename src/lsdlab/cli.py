@@ -30,6 +30,7 @@ from .spectral import (
 )
 from .stieltjes import (
     StieltjesCurve,
+    _check_coverage,
     _check_grid,
     invert_to_distribution,
     kolmogorov_distance,
@@ -144,7 +145,13 @@ def cmd_density(args):
 
 def cmd_solve(args):
     contour = parse_contour_spec(args.contour)
+    eps = float(contour[0].imag)
+    lo, hi = float(contour.real.min()), float(contour.real.max())
     xs = _check_grid(parse_range_spec(args.xs)) if args.xs else None
+    if xs is None and len(contour) >= 2 and hi - lo > 10 * eps:
+        xs = np.linspace(lo + 5 * eps, hi - 5 * eps, 801)
+    if xs is not None:  # else the contour is too narrow to invert; emit the curve only
+        _check_coverage(lo, hi, eps, xs)
     grid, radius = _load_density(args)
     cfg = io.solver_config_from_file(args.solver_config) if args.solver_config else DEFAULT_CONFIG
     if args.product_form:
@@ -161,11 +168,7 @@ def cmd_solve(args):
     io.write_curve_csv(curve_path, curve)
     outputs = [curve_path]
     extra = {}
-    eps = float(contour[0].imag)
-    lo, hi = float(contour.real.min()), float(contour.real.max())
-    if xs is None and len(contour) >= 2 and hi - lo > 10 * eps:
-        xs = np.linspace(lo + 5 * eps, hi - 5 * eps, 801)
-    if xs is not None:  # else the contour is too narrow to invert; emit the curve only
+    if xs is not None:
         table = invert_to_distribution(curve, xs)
         table_path = out_dir / "distribution.csv"
         io.write_table_csv(table_path, table)
@@ -299,7 +302,7 @@ def build_parser():
     p_solve.add_argument("--product-form", action="store_true")
     p_solve.add_argument("--volterra-radius", type=int, metavar="R", help=f"default {VOLTERRA_RADIUS}")
     p_solve.add_argument("--solver-config", default=None, metavar="FILE")
-    p_solve.add_argument("--xs", default=None, metavar="A:B:COUNT")
+    p_solve.add_argument("--xs", default=None, metavar="A:B:COUNT", help="write --xs=A:B:COUNT when A < 0")
     p_solve.add_argument("--out-dir", default=".")
     p_solve.set_defaults(func=cmd_solve)
 

@@ -20,18 +20,17 @@ Uncertified stages accelerate the damped update with Anderson mixing of
 depth 1, accepting a mixed step only if it keeps Im pi >= 0; certified
 stages run the plain update, whose rate the certificate bounds.
 
-A contour is solved as one N x P block: every point is a column with its
-own height, damping and tolerance, started from pi = 0, and one iteration
-is one real matrix product with b for the whole contour. When
-b/N = U W has low rank r, each column of solve_curve instead takes Newton
-steps with the r x r Jacobian I - W diag(g^2) U, first directly at its target
-height; such an iteration adds one r x r solve per column, and its residual
-is still taken against the full b.
+A contour is solved as one N x P block, a single point as a one-column
+block: every point is a column with its own height, damping and tolerance,
+started from pi = 0, and one iteration is one real matrix product with b for
+the whole contour. When b/N = U W has low rank r, each column of solve_curve
+instead takes Newton steps with the r x r Jacobian I - W diag(g^2) U, first
+directly at its target height; such an iteration adds one r x r solve per
+column, and its residual is still taken against the full b.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -109,21 +108,29 @@ class ResolventProfile:
     def __post_init__(self):
         g = _frozen(self.g, complex)
         pi = _frozen(self.pi, complex)
-        imz = complex(self.z).imag
-        slack = 1.0 + 1e-12
-        if (g.imag <= 0).any():
-            raise LsdlabError("solver postcondition failed: Im g > 0")
-        if (np.abs(g) > slack / imz).any():
-            raise LsdlabError("solver postcondition failed: |g| <= 1/Im z")
-        if (pi.imag < -1e-15 * (1.0 + np.abs(pi).max())).any():
-            raise LsdlabError("solver postcondition failed: Im pi >= 0")
-        if (np.abs(self.z + pi) < imz / slack).any():
-            raise LsdlabError("solver postcondition failed: |z + pi| >= Im z")
+        _check_herglotz(self.z, g, pi)
         hist = [self.residual] if self.residual_history is None else self.residual_history
         object.__setattr__(self, "g", g)
         object.__setattr__(self, "pi", pi)
         object.__setattr__(self, "S", complex(g.mean()))
         object.__setattr__(self, "residual_history", _frozen(hist))
+
+
+def _check_herglotz(z, g, pi):
+    """Raise unless g and pi, one row per point z, keep the Herglotz bounds.
+
+    Each row's Im pi >= 0 is judged on that row's scale, 1e-15 (1 + max|pi|).
+    """
+    z = np.reshape(z, (-1, 1))
+    slack = 1.0 + 1e-12
+    if (g.imag <= 0).any():
+        raise LsdlabError("solver postcondition failed: Im g > 0")
+    if (np.abs(g) > slack / z.imag).any():
+        raise LsdlabError("solver postcondition failed: |g| <= 1/Im z")
+    if (pi.imag < -1e-15 * (1.0 + np.abs(pi).max(axis=-1, keepdims=True))).any():
+        raise LsdlabError("solver postcondition failed: Im pi >= 0")
+    if (np.abs(z + pi) < z.imag / slack).any():
+        raise LsdlabError("solver postcondition failed: |z + pi| >= Im z")
 
 
 @dataclass(frozen=True)
@@ -256,30 +263,15 @@ def _factor(b):
         rest -= np.outer(us[-1], ws[-1])
 
 
-class _Column:
-    """One contour point, solved in one block column."""
-
-    def __init__(self, point, attempts):
-        self.point = point  # index into the contour
-        self.attempts = attempts
-        self.attempt = 0
-        self.stage = 0
-        self.count = 0  # column-iterations over all attempts
-        self.history = []  # residuals of the current stage
-
-    @property
-    def stages(self):
-        return self.attempts[self.attempt]
-
-
-def _solve_block(b, zs, cfg, history=False, factor=None):
+def _solve_block(b, zs, cfg, factor=None):
     """Solve every point of zs as one column of an N x P block fixed point.
 
     Each iteration costs one real matrix product for all columns. A column
     runs its point's attempts from pi = 0 and leaves the block once the
     point converges; ``factor`` = (U, W) from _factor switches every column
-    to Newton steps. Yields (index into zs, ResolventProfile) as points
-    converge.
+    to Newton steps. Returns per point of zs its S, column-iterations over
+    all attempts, final residual, stage count and last stage's residuals,
+    then (g, pi) of the last point to converge: a one-column call's profile.
     """
     n, mass = b.n, b.mass
     bvals = np.ascontiguousarray(b.values)
@@ -289,13 +281,20 @@ def _solve_block(b, zs, cfg, history=False, factor=None):
         r = U.shape[1]
         # row i r + j of jac is W[i, :] U[:, j], so jac @ g^2 stacks W diag(g^2) U
         jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, n)
-    plan = functools.cache(lambda h: _attempts(h, mass, cfg, newton))  # one schedule per height
-    cols = [_Column(p, plan(z.imag)) for p, z in enumerate(zs)]
-    size = len(cols)
-    # pi, g, F(pi), two scratch rows, and the previous step f and update G
+    plans = {h: _attempts(h, mass, cfg, newton) for h in set(zs.imag.tolist())}  # one schedule per height
+    size = len(zs)
+    # per point: its schedule, where it is in it, and its results
+    attempts = [plans[h] for h in zs.imag.tolist()]
+    attempt = np.zeros(size, dtype=np.int64)
+    stage = np.zeros(size, dtype=np.int64)
+    count = np.zeros(size, dtype=np.int64)  # column-iterations over all attempts
+    S = np.empty(size, dtype=complex)
+    history = [[] for _ in range(size)]  # residuals of the current stage, the last one final
+    # per column: pi, g, F(pi), two scratch rows, and the previous step f and update G
     # of the Anderson mixing (or the Newton point); the active block is a contiguous
     # prefix of each buffer so that g viewed as float64 is a real N x 2P matrix
     buf = np.zeros((7, n * size), dtype=complex)
+    point = np.arange(size)  # the point each column solves
     z = np.empty(size, dtype=complex)
     # complex weights give the same rounding as a scalar damping factor
     damp = np.empty(size, dtype=complex)
@@ -306,21 +305,22 @@ def _solve_block(b, zs, cfg, history=False, factor=None):
     mixed = np.zeros(size, dtype=bool)  # stage outside the certified region
     it = 0
 
-    def start_stage(k, col):
-        h, d, tol[k], certified, budget[k] = col.stages[col.stage]
-        z[k] = complex(zs[col.point].real, h)
+    def start_stage(k):
+        p = point[k]
+        h, d, tol[k], certified, budget[k] = attempts[p][attempt[p]][stage[p]]
+        z[k] = complex(zs[p].real, h)
         damp[k], rest[k] = d, 1.0 - d
         start[k] = it  # also resets the column's mixing history
         mixed[k] = not (certified or newton)
-        col.history = []
+        history[p] = []
 
-    for k, col in enumerate(cols):
-        start_stage(k, col)
+    for k in range(size):
+        start_stage(k)
     mixing = bool(mixed.any())
-    active, deadline = 0, int(budget.min())
-    while cols:
-        if active != len(cols):
-            active = len(cols)
+    live, active, deadline = size, 0, int(budget.min())
+    while live:
+        if active != live:
+            active = live
             pi, g, pif, w, s, fp, gp = (a[: n * active].reshape(n, active) for a in buf)
             absw = buf[4].view(np.float64)[: n * active].reshape(n, active)
             zv, dv, rv, tv, sv = z[:active], damp[:active], rest[:active], tol[:active], start[:active]
@@ -334,9 +334,8 @@ def _solve_block(b, zs, cfg, history=False, factor=None):
         w += g
         res = np.abs(w, out=absw).max(axis=0)
         it += 1
-        if history:
-            for col, x in zip(cols, res):
-                col.history.append(x)
+        for p, x in zip(point[:active].tolist(), res.tolist()):
+            history[p].append(x)
         # one reduction catches converged columns and NaN residuals alike
         event = it >= deadline or not (res > tv).all()
         if newton:
@@ -388,54 +387,52 @@ def _solve_block(b, zs, cfg, history=False, factor=None):
         if not event:
             continue
         done = res <= tv
+        finished = []
         for k in np.flatnonzero(done | (it - sv >= bv) | ~(res < np.inf)):
-            col, stage_its = cols[k], it - int(sv[k])
-            col.count += stage_its
+            p, stage_its = point[k], it - int(sv[k])
+            count[p] += stage_its
             if done[k]:
                 pi[:, k] = pif[:, k]
-                if col.stage + 1 < len(col.stages):
-                    col.stage += 1
-                    start_stage(k, col)
-                    continue
-                yield col.point, ResolventProfile(
-                    z=zs[col.point],
-                    g=g[:, k],
-                    pi=pif[:, k],
-                    iterations=col.count,
-                    residual=float(res[k]),
-                    residual_history=col.history if history else None,
-                    stages=len(col.stages),
-                )
-                cols[k] = None
-            elif res[k] < np.inf and col.attempt + 1 < len(col.attempts):
-                col.attempt += 1
-                col.stage = 0
+                if stage[p] + 1 < len(attempts[p][attempt[p]]):
+                    stage[p] += 1
+                    start_stage(k)
+                else:
+                    finished.append(k)
+            elif res[k] < np.inf and attempt[p] + 1 < len(attempts[p]):
+                attempt[p] += 1
+                stage[p] = 0
                 pi[:, k] = 0.0
-                start_stage(k, col)
+                start_stage(k)
             else:
-                raise _no_convergence(zs[col.point], col.stage, col.stages[col.stage][0], float(res[k]), stage_its)
-        if None in cols:
-            keep = [k for k, col in enumerate(cols) if col is not None]
-            cols = [cols[k] for k in keep]
-            m = len(keep)
+                raise _no_convergence(complex(zs[p]), int(stage[p]), float(z[k].imag), float(res[k]), stage_its)
+        if finished:
+            ps = point[finished]
+            gs, pis = g.T[finished], pif.T[finished]  # one C-ordered row per point
+            _check_herglotz(zs[ps], gs, pis)
+            S[ps] = gs.mean(axis=1)
+            keep = np.delete(np.arange(active), finished)
+            live = len(keep)
             # gather the persistent rows through the scratch buffer: no N x P temporary
             for row, a in ((0, pi), (5, fp), (6, gp)):
-                kept = np.take(a, keep, axis=1, out=buf[3, : n * m].reshape(n, m), mode="clip")
-                buf[row, : n * m].reshape(n, m)[...] = kept
-            for a in (z, damp, rest, tol, start, budget, mixed):
-                a[:m] = a[:active][keep]
-        mixing = bool(mixed[: len(cols)].any())
-        deadline = int((start + budget)[: len(cols)].min(initial=it))
+                kept = np.take(a, keep, axis=1, out=buf[3, : n * live].reshape(n, live), mode="clip")
+                buf[row, : n * live].reshape(n, live)[...] = kept
+            for a in (point, z, damp, rest, tol, start, budget, mixed):
+                a[:live] = a[:active][keep]
+        mixing = bool(mixed[:live].any())
+        deadline = int((start + budget)[:live].min(initial=it))
+    stages = [len(plan[i]) for plan, i in zip(attempts, attempt)]
+    return S, count, [trace[-1] for trace in history], stages, history, (gs[-1], pis[-1])
 
 
 def solve_profile(b, z, cfg=None):
     """Solve the discretized self-consistent equation at one point.
 
-    This is the one-column case of the block solve in ``solve_curve``. The
-    profile's ``residual_history`` is the trace of its final stage.
+    A one-column block on the N x N map (never factored); its ``residual_history``
+    is the residual trace of the final stage, recorded for every point.
     """
-    ((_, profile),) = _solve_block(b, [_upper_half_plane(z)], cfg or DEFAULT_CONFIG, history=True)
-    return profile
+    z = _upper_half_plane(z)
+    _, (its,), (res,), (stages,), (hist,), (g, pi) = _solve_block(b, np.array([z]), cfg or DEFAULT_CONFIG)
+    return ResolventProfile(z, g, pi, iterations=int(its), residual=float(res), residual_history=hist, stages=stages)
 
 
 def measured_decay_ratio(profile):
@@ -461,18 +458,14 @@ def solve_curve(b, contour, cfg=None):
     A density of rank r <= _NEWTON_MAX_RANK (one _factor per call) is solved
     by Newton steps in r unknowns, whose iterations each cost a matrix
     product with b plus an r x r solve; other densities run the N x N map.
-    Points come back in (descending Im z, ascending Re z) order.
+    Points come back in (descending Im z, ascending Re z) order, each with the
+    S, iterations and final residual the block returns for it.
     """
-    cfg = cfg or DEFAULT_CONFIG
-    zs = sorted(_upper_half_plane(np.ravel(contour)).tolist(), key=lambda z: (-z.imag, z.real))
-    if not zs:
+    zs = np.array(sorted(_upper_half_plane(np.ravel(contour)).tolist(), key=lambda z: (-z.imag, z.real)))
+    if not zs.size:
         raise InvalidInput("contour must contain at least one point")
-    S = np.empty(len(zs), dtype=complex)
-    iterations = np.empty(len(zs), dtype=np.int64)
-    residuals = np.empty(len(zs))
-    for k, prof in _solve_block(b, zs, cfg, factor=_factor(b)):
-        S[k], iterations[k], residuals[k] = prof.S, prof.iterations, prof.residual
-    return StieltjesCurve(np.array(zs), S, iterations, residuals)
+    S, iterations, residuals = _solve_block(b, zs, cfg or DEFAULT_CONFIG, factor=_factor(b))[:3]
+    return StieltjesCurve(zs, S, iterations, residuals)
 
 
 def _scalar_stage(t, z, v, damping, tol, max_iter):

@@ -152,6 +152,14 @@ def _check_grid(xs):
     return xs
 
 
+def _check_coverage(lo, hi, eps, xs):
+    """Raise unless real parts [lo, hi] at height eps cover [xs[0] - 5 eps, xs[-1] + 5 eps]."""
+    slack = 1e-9 * max(1.0, eps, float(np.abs(xs).max()))
+    if lo > xs[0] - 5 * eps + slack or hi < xs[-1] + 5 * eps - slack:
+        need = f"[{xs[0] - 5 * eps:.6g}, {xs[-1] + 5 * eps:.6g}]"
+        raise InvalidInput(f"curve covers [{lo:.6g}, {hi:.6g}] but needs {need}")
+
+
 def _table(xs, density):
     """Table of a density on xs: trapezoid CDF, scaled down only if it exceeds one."""
     segs = 0.5 * (density[1:] + density[:-1]) * np.diff(xs)
@@ -181,12 +189,7 @@ def invert_to_distribution(curve, xs):
     re = curve.z.real
     order = np.argsort(re)
     re = re[order]
-    slack = 1e-9 * max(1.0, eps, float(np.abs(xs).max()))
-    if re[0] > xs[0] - 5 * eps + slack or re[-1] < xs[-1] + 5 * eps - slack:
-        raise InvalidInput(
-            f"curve covers [{re[0]:.6g}, {re[-1]:.6g}] but needs "
-            f"[{xs[0] - 5 * eps:.6g}, {xs[-1] + 5 * eps:.6g}]"
-        )
+    _check_coverage(re[0], re[-1], eps, xs)
     return _table(xs, np.interp(xs, re, curve.S.imag[order]) / np.pi)
 
 

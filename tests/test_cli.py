@@ -142,7 +142,12 @@ class TestSolveCommand:
         prod = io.read_curve_csv(prod_dir / "curve.csv")
         assert np.abs(full.S - prod.S).max() <= 1e-7
 
-    def test_model_file_input_with_inversion(self, tmp_path):
+    @pytest.mark.parametrize(
+        "xs, window",
+        [([], (-4.75, 4.75)), (["--xs=-4:4:161"], (-4.0, 4.0))],
+        ids=["default-xs", "negative-xs"],
+    )
+    def test_model_file_input_with_inversion(self, tmp_path, xs, window):
         model = write_model(tmp_path, "0 0 1.0\n")
         out = tmp_path / "out"
         code = main(
@@ -153,12 +158,14 @@ class TestSolveCommand:
                 "32",
                 "--contour",
                 "im=0.05,re=-5:5:81",
+                *xs,
                 "--out-dir",
                 str(out),
             ]
         )
         assert code == 0
         table = io.read_table_csv(out / "distribution.csv")
+        assert (table.xs[0], table.xs[-1]) == pytest.approx(window)
         assert table.cdf[-1] > 0.95
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"curve.csv", "distribution.csv"}
@@ -312,9 +319,10 @@ def test_non_finite_spec_exits_2_before_any_work(tmp_path, capsys, monkeypatch, 
         ("solve", ["--contour", "im=0.05,re=-9:9:121", "--xs", "0:1:1"]),
         ("solve", ["--contour", "im=0.05,re=-9:9:121", "--xs", "1:0:5"]),
         ("solve", ["--contour", "im=0.05,re=-1:1:0"]),
+        ("solve", ["--contour", "im=0.05,re=-1:1:21", "--xs=-5:5:11"]),
         ("simulate", ["--contour", "im=0.05,re=-1:1:0"]),
     ],
-    ids=["xs-one-point", "xs-decreasing", "empty-contour", "simulate-empty-contour"],
+    ids=["xs-one-point", "xs-decreasing", "empty-contour", "xs-beyond-contour", "simulate-empty-contour"],
 )
 def test_bad_grid_or_empty_contour_exits_2_before_any_work(tmp_path, monkeypatch, command, spec):
     code, out = run_forbidding_work(tmp_path, monkeypatch, command, spec)

@@ -4,6 +4,7 @@ import pytest
 from lsdlab import (
     DensityGrid,
     InvalidInput,
+    LsdlabError,
     NoConvergence,
     SolverConfig,
     StieltjesCurve,
@@ -215,6 +216,15 @@ class TestSolveCurve:
         prof = solve_profile(b, 1j)
         assert abs(curve.S[0] - prof.S) < 1e-12
 
+    def test_profile_and_one_point_curve_share_the_block_path(self):
+        # an unfactored density: both run the plain and Anderson-mixed map
+        b = full_rank_density(np.random.default_rng(61), 48, 4.0)
+        assert solver._factor(b) is None
+        for z in (0.3 + 0.1j, -1.0 + 1.5j, 5j):
+            prof, curve = solve_profile(b, z), solve_curve(b, [z])
+            assert prof.S == curve.S[0]
+            assert prof.iterations == curve.iterations[0]
+
     @pytest.mark.parametrize("bad", [complex(np.nan, 1.0), complex(0.0, np.nan), complex(0.0, np.inf)])
     def test_rejects_non_finite_points(self, bad):
         with pytest.raises(InvalidInput, match="finite"):
@@ -325,6 +335,44 @@ class TestSolveCurve:
             solve_curve(b, [])
         with pytest.raises(InvalidInput):
             solve_curve(b, [1j, 1.0 + 0j])
+
+
+def herglotz_rows():
+    """Three points that keep the Herglotz bounds, one row each; only the first row's |pi| reaches 1e6."""
+    z = np.array([1j, 0.5 + 2j, -1.0 + 0.5j])
+    pi = np.full((3, 4), 0.1 + 0.2j)
+    pi[0, 0] = 1e6
+    return z, -1.0 / (z[:, None] + pi), pi
+
+
+class TestHerglotzCheck:
+    def test_each_row_is_judged_on_its_own_scale(self):
+        z, g, pi = herglotz_rows()
+        pi[0, 3] = 2.0 - 1e-10j  # within 1e-15 (1 + max|pi|) of the first row
+        solver._check_herglotz(z, g, pi)
+
+    @pytest.mark.parametrize(
+        "name, row, col, value, bound",
+        [
+            ("g", 1, 2, 0.3 - 0.1j, "Im g > 0"),
+            ("g", 2, 0, 2.1j, r"\|g\| <= 1/Im z"),
+            # beyond 1e-15 (1 + max|pi|) of its own row, within that of the first
+            ("pi", 1, 3, 2.0 - 1e-10j, "Im pi >= 0"),
+            ("pi", 0, 1, -0.9e-9j, r"\|z \+ pi\| >= Im z"),
+        ],
+    )
+    def test_one_bad_row_fails_the_block(self, name, row, col, value, bound):
+        z, g, pi = herglotz_rows()
+        {"g": g, "pi": pi}[name][row, col] = value
+        with pytest.raises(LsdlabError, match=bound):
+            solver._check_herglotz(z, g, pi)
+
+    def test_every_curve_point_is_checked(self, monkeypatch):
+        checked = []
+        check = solver._check_herglotz
+        monkeypatch.setattr(solver, "_check_herglotz", lambda z, g, pi: checked.extend(z) or check(z, g, pi))
+        curve = solve_curve(constant_density(1.0, 16), np.linspace(-2.0, 2.0, 9) + 1j * np.linspace(0.05, 2.0, 9))
+        assert np.array_equal(np.sort_complex(checked), np.sort_complex(curve.z))
 
 
 class TestProductForm:
