@@ -39,6 +39,11 @@ INNOVATIONS = ("gaussian", "rademacher", "uniform")
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
+# Rows per scratch block in patch synthesis and wigner assembly. Each block
+# covers the same entries with the same operations, so results do not depend
+# on it; it only bounds the scratch memory to _ROW_BLOCK x n.
+_ROW_BLOCK = 64
+
 
 def replicate_seed(seed, index):
     """Seed of replicate ``index``: seed XOR (index * SEED_STRIDE) mod 2^64."""
@@ -111,10 +116,14 @@ def generate_linear_patch(a, n, seed, innovation="gaussian"):
     rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
     size = n + 2 * a.m
     innov = _innovations(rng, (size, size), innovation)
+    taps = [(p, q, c) for (p, q), c in np.ndenumerate(a.coeffs) if c != 0.0]
     out = np.zeros((n, n))
-    for (p, q), c in np.ndenumerate(a.coeffs):
-        if c != 0.0:
-            out += c * innov[p : p + n, q : q + n]
+    scratch = np.empty((min(n, _ROW_BLOCK), n))
+    for r in range(0, n, _ROW_BLOCK):
+        o = out[r : r + _ROW_BLOCK]
+        t = scratch[: len(o)]
+        for p, q, c in taps:
+            o += np.multiply(c, innov[r + p : r + p + len(o), q : q + n], out=t)
     return out
 
 
@@ -127,10 +136,14 @@ def generate_volterra_patch(bv, n, seed):
     size = n + 2 * pad
     innov = rng.standard_normal((size, size))
     out = np.zeros((n, n))
-    for ((u1, u2), (v1, v2)), c in bv.entries.items():
-        x = innov[pad - u1 : pad - u1 + n, pad - u2 : pad - u2 + n]
-        y = innov[pad - v1 : pad - v1 + n, pad - v2 : pad - v2 + n]
-        out += c * x * y
+    scratch = np.empty((min(n, _ROW_BLOCK), n))
+    for r in range(0, n, _ROW_BLOCK):
+        o = out[r : r + _ROW_BLOCK]
+        t = scratch[: len(o)]
+        for ((u1, u2), (v1, v2)), c in bv.entries.items():
+            x = innov[r + pad - u1 : r + pad - u1 + len(o), pad - u2 : pad - u2 + n]
+            y = innov[r + pad - v1 : r + pad - v1 + len(o), pad - v2 : pad - v2 + n]
+            o += np.multiply(np.multiply(c, x, out=t), y, out=t)
     return out
 
 
@@ -146,21 +159,35 @@ def assemble_matrix(patch, symmetrization):
         raise InvalidInput("patch must be square")
     n = p.shape[0]
     if symmetrization == "wigner":
-        m = np.tril(p) + np.tril(p, -1).T
+        # (p + 0.0) / sqrt(n) on the lower triangle, mirrored by exact copies:
+        # the same bits, signed zeros included, as
+        # (tril(p) + tril(p, -1).T) / sqrt(n).
+        m = p + 0.0
+        m /= np.sqrt(n)
+        strict_upper = ~np.tri(min(n, _ROW_BLOCK), dtype=bool)
+        for r in range(0, n, _ROW_BLOCK):
+            e = min(r + _ROW_BLOCK, n)
+            d = m[r:e, r:e]
+            np.copyto(d, d.T, where=strict_upper[: e - r, : e - r])
+            m[r:e, e:] = m[e:, r:e].T
     elif symmetrization == "additive":
         m = p + p.T
+        m /= np.sqrt(n)
     else:
         raise InvalidInput(f"symmetrization must be one of {SYMMETRIZATIONS}")
-    return m / np.sqrt(n)
+    return m
 
 
 def spectrum(matrix):
-    """All eigenvalues of a symmetric matrix, ascending."""
+    """All eigenvalues of a finite, nonempty symmetric matrix, ascending."""
     m = np.asarray(matrix, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvalidInput("matrix must be square")
-    scale = float(np.abs(m).max()) if m.size else 0.0
-    if np.abs(m - m.T).max() > 1e-12 * max(scale, 1.0):
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.size == 0:
+        raise InvalidInput("matrix must be square and nonempty")
+    scale = max(m.max(), -m.min())  # max |m| with no n x n temporary; NaN propagates
+    if not np.isfinite(scale):
+        raise InvalidInput("matrix must be finite")
+    # m - m.T is exactly antisymmetric in IEEE arithmetic, so its max is its max |.|
+    if (m - m.T).max() > 1e-12 * max(scale, 1.0):
         raise InvalidInput("matrix must be symmetric")
     try:
         eigs = np.linalg.eigvalsh(m)
@@ -212,17 +239,23 @@ def _one_replicate(cfg, index):
         patch = generate_linear_patch(cfg.model, cfg.n, seed, cfg.innovation)
     else:
         patch = generate_volterra_patch(cfg.model, cfg.n, seed)
+    patched = time.perf_counter()
     matrix = assemble_matrix(patch, cfg.symmetrization)
+    del patch  # freed before the eigensolve, which makes its own copy of the matrix
+    assembled = time.perf_counter()
     try:
         spec = spectrum(matrix)
     except NoConvergenceEig as exc:
         raise NoConvergenceEig(f"replicate {index}: {exc}", replicate=index) from exc
-    elapsed = time.perf_counter() - start
+    end = time.perf_counter()
     record = {
         "replicate": index,
         "seed": int(seed),
         "n": cfg.n,
-        "wall_time_s": elapsed,
+        "wall_time_s": end - start,
+        "patch_s": patched - start,
+        "assemble_s": assembled - patched,
+        "eigensolve_s": end - assembled,
         "lambda_min": float(spec.eigenvalues[0]),
         "lambda_max": float(spec.eigenvalues[-1]),
     }

@@ -100,7 +100,8 @@ def empirical_curve(eigs, contour):
     if zs.ndim != 1 or zs.size == 0:
         raise InvalidInput("contour must be a nonempty 1-D array")
     _upper_half_plane(zs)
-    s = (1.0 / (e[:, None] - zs[None, :])).mean(axis=0)
+    w = e[:, None] - zs[None, :]
+    s = np.divide(1.0, w, out=w).mean(axis=0)
     return StieltjesCurve(zs, s)
 
 

@@ -349,11 +349,15 @@ class TestSimulateCommand:
             assert (out / name).exists()
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outside_hypotheses"] is False  # additive path needs no symmetry
-        log_lines = (out / "runlog.jsonl").read_text().splitlines()
-        assert len(log_lines) == 2
-        assert {"replicate", "seed", "n", "wall_time_s", "lambda_min", "lambda_max"} <= set(
-            json.loads(log_lines[0])
-        )
+        assert not {"wall_time_s", "patch_s", "assemble_s", "eigensolve_s"} & set(manifest)
+        records = [json.loads(line) for line in (out / "runlog.jsonl").read_text().splitlines()]
+        assert len(records) == 2
+        phases = ("patch_s", "assemble_s", "eigensolve_s")
+        for rec in records:
+            assert {"replicate", "seed", "n", "wall_time_s", "lambda_min", "lambda_max", *phases} <= set(rec)
+            assert min(rec[k] for k in phases) >= 0.0
+            # each phase is a difference of the same clock readings as the wall time
+            assert sum(rec[k] for k in phases) <= rec["wall_time_s"] * (1 + 1e-12)
 
     def test_mirrored_asymmetric_model_tagged_outside(self, tmp_path):
         cfg = self.write_ensemble(tmp_path, symmetrization="wigner")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -19,10 +21,49 @@ from lsdlab import (
     invert_to_distribution,
     StieltjesCurve,
 )
-from lsdlab.simulate import SEED_STRIDE, covariance_exchange_symmetric, field_variance
+from lsdlab.simulate import (
+    SEED_STRIDE,
+    _innovations,
+    _one_replicate,
+    covariance_exchange_symmetric,
+    field_variance,
+)
 
 DELTA = FilterCoefficients.from_entries({(0, 0): 1.0})
 TWO_TAP = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0})
+# m = 2 with zero taps inside the support
+SPARSE_M2 = FilterCoefficients.from_entries({(0, 0): 1.0, (-2, 1): 0.5, (1, -2): -0.25, (2, 2): 0.125})
+THREE_ENTRY = VolterraCoefficients(
+    {((0, 0), (1, 0)): 1.0, ((1, 1), (0, -1)): -0.7, ((-1, 0), (0, 2)): 0.2}
+)
+# sizes below, at and across row-block edges
+SIZES = (1, 2, 127, 128, 129, 300)
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_linear_patch(a, n, seed, innovation):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    innov = _innovations(rng, (n + 2 * a.m, n + 2 * a.m), innovation)
+    out = np.zeros((n, n))
+    for (p, q), c in np.ndenumerate(a.coeffs):
+        if c != 0.0:
+            out += c * innov[p : p + n, q : q + n]
+    return out
+
+
+def reference_volterra_patch(bv, n, seed):
+    rng = np.random.Generator(np.random.PCG64(seed))
+    pad = bv.support_radius
+    innov = rng.standard_normal((n + 2 * pad, n + 2 * pad))
+    out = np.zeros((n, n))
+    for ((u1, u2), (v1, v2)), c in bv.entries.items():
+        x = innov[pad - u1 : pad - u1 + n, pad - u2 : pad - u2 + n]
+        y = innov[pad - v1 : pad - v1 + n, pad - v2 : pad - v2 + n]
+        out += c * x * y
+    return out
 
 
 class TestLinearPatch:
@@ -49,6 +90,12 @@ class TestLinearPatch:
         se = np.std(patch**2) / np.sqrt(patch.size)
         assert abs(patch.var() - 2.0) <= 3 * se + 0.01
 
+    @pytest.mark.parametrize("n", SIZES)
+    @pytest.mark.parametrize("innovation", ["gaussian", "rademacher", "uniform"])
+    def test_bits_equal_whole_patch_accumulation(self, n, innovation):
+        patch = generate_linear_patch(SPARSE_M2, n, seed=31, innovation=innovation)
+        assert same_bits(patch, reference_linear_patch(SPARSE_M2, n, 31, innovation))
+
     def test_innovation_kinds_are_centered_unit_variance(self):
         for kind in ("gaussian", "rademacher", "uniform"):
             patch = generate_linear_patch(DELTA, 512, seed=5, innovation=kind)
@@ -69,6 +116,11 @@ class TestVolterraPatch:
         innov = rng.standard_normal((n + 2, n + 2))
         expected = innov[1 : n + 1, 1 : n + 1] * innov[0:n, 1 : n + 1]
         assert np.allclose(patch, expected, atol=1e-15)
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bits_equal_whole_patch_accumulation(self, n):
+        patch = generate_volterra_patch(THREE_ENTRY, n, seed=47)
+        assert same_bits(patch, reference_volterra_patch(THREE_ENTRY, n, 47))
 
     def test_moments_match_covariance_formula(self):
         bv = VolterraCoefficients({((0, 0), (1, 0)): 1.0})
@@ -98,6 +150,18 @@ class TestAssemble:
         for kind in ("wigner", "additive"):
             m = assemble_matrix(patch, kind)
             assert np.abs(m - m.T).max() == 0.0
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bits_equal_whole_matrix_formulas(self, n):
+        rng = np.random.default_rng(n)
+        patch = rng.normal(size=(n, n))
+        patch[rng.random((n, n)) < 0.2] = -0.0  # signed zeros must match too
+        before = patch.copy()
+        root = np.sqrt(n)
+        wigner = (np.tril(patch) + np.tril(patch, -1).T) / root
+        assert same_bits(assemble_matrix(patch, "wigner"), wigner)
+        assert same_bits(assemble_matrix(patch, "additive"), (patch + patch.T) / root)
+        assert same_bits(patch, before)
 
     def test_rejects_unknown_symmetrization(self):
         with pytest.raises(InvalidInput):
@@ -142,6 +206,17 @@ class TestSpectrum:
     def test_rejects_asymmetric_input(self):
         with pytest.raises(InvalidInput):
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_input(self, bad):
+        m = np.eye(3)
+        m[1, 1] = bad
+        with pytest.raises(InvalidInput, match="finite"):
+            spectrum(m)
+
+    def test_rejects_empty_input(self):
+        with pytest.raises(InvalidInput, match="nonempty"):
+            spectrum(np.zeros((0, 0)))
 
 
 class TestSeedSplitting:
@@ -234,6 +309,21 @@ class TestEnsemble:
                 emp = invert_to_distribution(ensemble_esd(cfg, contour=contour).curve, xs)
                 dist[n] = kolmogorov_distance(pred, emp)
             assert dist[1000] <= 1.2 * dist[500]
+
+    @pytest.mark.parametrize("symmetrization", ["wigner", "additive"])
+    def test_replicate_peak_memory_is_about_two_matrices(self, symmetrization):
+        n = 400
+        cfg = EnsembleConfig(n=n, replicates=1, seed=8, model=TWO_TAP, symmetrization=symmetrization)
+        _one_replicate(cfg, 0)  # first-call set-up outside the traced run
+        tracemalloc.start()
+        try:
+            _one_replicate(cfg, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # at most two n x n arrays live at any stage, plus one scratch block;
+        # LAPACK's working copy is not seen by tracemalloc
+        assert peak <= 2.5 * 8 * n * n
 
     def test_records_carry_seed_and_range(self):
         cfg = EnsembleConfig(n=32, replicates=3, seed=777, model=DELTA)

@@ -57,6 +57,13 @@ class TestEmpiricalStieltjes:
         for k, z in enumerate(contour):
             assert curve.S[k] == pytest.approx(empirical_stieltjes(eigs, z))
 
+    def test_curve_has_the_bits_of_the_one_line_formula(self):
+        rng = np.random.default_rng(17)
+        eigs = np.sort(rng.normal(size=5000))
+        contour = np.linspace(-4.0, 4.0, 121) + 0.05j
+        expected = (1.0 / (eigs[:, None] - contour[None, :])).mean(axis=0)
+        assert empirical_curve(eigs, contour).S.tobytes() == expected.tobytes()
+
     def test_requires_upper_half_plane(self):
         with pytest.raises(InvalidInput):
             empirical_stieltjes([0.0], 1.0 - 0.5j)
