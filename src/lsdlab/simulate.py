@@ -187,7 +187,7 @@ def spectrum(matrix):
     if not np.isfinite(scale):
         raise InvalidInput("matrix must be finite")
     # m - m.T is exactly antisymmetric in IEEE arithmetic, so its max is its max |.|
-    if (m - m.T).max() > 1e-12 * max(scale, 1.0):
+    if (m - m.T).max() > 1e-12 * scale:
         raise InvalidInput("matrix must be symmetric")
     try:
         eigs = np.linalg.eigvalsh(m)

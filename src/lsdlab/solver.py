@@ -11,22 +11,23 @@ update pi <- -(1/N) sum_j b[., j]/(z + pi[j]) preserves Im pi >= 0 and hence
 Herglotz bounds Im g > 0 and |g| <= 1/Im z.
 
 The iteration contracts a priori with factor B/(Im z)^2 where B is the grid
-mass of the density. For targets with Im z <= sqrt(B) the solver first
-converges at a safe height where that factor is <= 1/4, then lowers Im z
-geometrically, warm-starting each stage (convergence below sqrt(B) is
-empirical, not certified; stage residuals are reported). Inner stages stop
-at a loose residual; only the last stage of a point uses the tolerance.
-Uncertified stages accelerate the damped update with Anderson mixing of
-depth 1, accepting a mixed step only if it keeps Im pi >= 0; certified
-stages run the plain update, whose rate the certificate bounds.
+mass of the density. Every point first runs one short stage at its target
+height; a stall restarts it on a ladder that converges at a safe height,
+where that factor is <= 1/4, then lowers Im z geometrically, warm-starting
+each stage (convergence below sqrt(B) is empirical, not certified; stage
+residuals are reported). Inner ladder stages stop at a loose residual; only
+the last stage of a point uses the tolerance. Uncertified stages accelerate
+the damped update with Anderson mixing of depth 1, accepting a mixed step
+only if it keeps Im pi >= 0; certified stages run the plain update, whose
+rate the certificate bounds.
 
 A contour is solved as one N x P block, a single point as a one-column
 block: every point is a column with its own height, damping and tolerance,
 started from pi = 0, and one iteration is one real matrix product with b for
 the whole contour. When b/N = U W has low rank r, each column of solve_curve
-instead takes Newton steps with the r x r Jacobian I - W diag(g^2) U, first
-directly at its target height; such an iteration adds one r x r solve per
-column, and its residual is still taken against the full b.
+instead takes Newton steps with the r x r Jacobian I - W diag(g^2) U; such an
+iteration adds one r x r solve per column, and its residual is still taken
+against the full b.
 """
 
 from __future__ import annotations
@@ -58,9 +59,10 @@ __all__ = [
 class SolverConfig:
     """Iteration budget and continuation controls.
 
-    ``max_iterations`` is the per-stage budget. ``damping`` applies inside
-    the certified region (contraction factor < 1); stages below it use half
-    of it. ``continuation_factor`` is the geometric step for lowering Im z;
+    ``max_iterations`` is the budget of each ladder stage; the direct stage
+    at the target height is capped at 50. ``damping`` applies inside the
+    certified region (contraction factor < 1); stages below it use half of
+    it. ``continuation_factor`` is the geometric step for lowering Im z;
     ``safe_height_multiplier`` scales the starting height of the ladder.
     """
 
@@ -203,8 +205,8 @@ _INNER_TOLERANCE = 1e-4
 # _factor); above it the block runs the N x N map: on 61-point contours the
 # two broke even near r = 32 at N = 128 and r = 43 at N = 256.
 _NEWTON_MAX_RANK = 32
-# Iteration cap of a Newton point's direct stage at its target height.
-_NEWTON_DIRECT_ITERATIONS = 50
+# Iteration cap of every point's direct stage at its target height.
+_DIRECT_ITERATIONS = 50
 
 
 def _no_convergence(z, stage, height, residual, iterations):
@@ -217,20 +219,17 @@ def _no_convergence(z, stage, height, residual, iterations):
     )
 
 
-def _attempts(im_target, mass, cfg, newton=False):
+def _attempts(im_target, mass, cfg):
     """Stages to try in turn for one point, as (height, damping, tolerance, certified, budget).
 
-    Every attempt starts from pi = 0. A point in the certified region
-    (Im z > sqrt(B)) plans one direct stage and retries a stall through the
-    full ladder; below it the ladder is the plan. A ``newton`` point always
-    tries one direct stage first, within _NEWTON_DIRECT_ITERATIONS. A stage
-    is certified when B/h^2 < 1, and then runs at the full damping, else at
-    half of it.
+    Every point plans one direct stage at its target height, within
+    min(cfg.max_iterations, _DIRECT_ITERATIONS), and retries a stall through
+    the full ladder with cfg.max_iterations per stage; every attempt starts
+    from pi = 0. A stage is certified when B/h^2 < 1, and then runs at the
+    full damping, else at half of it.
     """
-    ladder = _ladder_heights(im_target, mass, cfg)
-    plans = [[im_target], ladder] if newton or im_target > np.sqrt(mass) else [ladder]
-    first = min(cfg.max_iterations, _NEWTON_DIRECT_ITERATIONS) if newton else cfg.max_iterations
-    budgets = [first] + [cfg.max_iterations] * (len(plans) - 1)
+    plans = [[im_target], _ladder_heights(im_target, mass, cfg)]
+    budgets = [min(cfg.max_iterations, _DIRECT_ITERATIONS), cfg.max_iterations]
 
     def stage(h, tol, budget):
         certified = mass / (h * h) < 1.0
@@ -281,7 +280,7 @@ def _solve_block(b, zs, cfg, factor=None):
         r = U.shape[1]
         # row i r + j of jac is W[i, :] U[:, j], so jac @ g^2 stacks W diag(g^2) U
         jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, n)
-    plans = {h: _attempts(h, mass, cfg, newton) for h in set(zs.imag.tolist())}  # one schedule per height
+    plans = {h: _attempts(h, mass, cfg) for h in set(zs.imag.tolist())}  # one schedule per height
     size = len(zs)
     # per point: its schedule, where it is in it, and its results
     attempts = [plans[h] for h in zs.imag.tolist()]
@@ -504,7 +503,7 @@ def solve_product_form(t, z, cfg=None):
     z = _upper_half_plane(z)
     tv = np.asarray(t.values, dtype=float)
     m2 = float(np.mean(tv * tv))
-    for stages in _attempts(z.imag, m2, cfg, newton=True):
+    for stages in _attempts(z.imag, m2, cfg):
         v, total = 0j, 0
         for stage, (h, d, tol, _, budget) in enumerate(stages):
             v, res, its, ok = _scalar_stage(tv, complex(z.real, h), v, d, tol, budget)

@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +154,16 @@ def test_solver_config_from_file(tmp_path):
     path.write_text("tolerance=1e-8\ndamping=0.9\n")
     cfg = io.solver_config_from_file(path)
     assert cfg == SolverConfig(tolerance=1e-8, damping=0.9)
+
+
+def test_readme_lists_the_solver_config_fields_and_defaults():
+    # the table under "Solver configs" in README: | `key` | `default` | meaning |
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = text.split("Solver configs use the same format.")[1].split("\n\n")[1]
+    rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]] for line in table.splitlines()[2:]]
+    fields = dataclasses.fields(SolverConfig)
+    assert [key for key, _ in rows] == [f.name for f in fields]
+    assert all(type(f.default)(default) == f.default for f, (_, default) in zip(fields, rows))
 
 
 def test_solver_config_rejects_unknown_key(tmp_path):

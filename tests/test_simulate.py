@@ -203,9 +203,11 @@ class TestSpectrum:
         eigs = spectrum(m).eigenvalues
         assert np.mean(eigs**2) == pytest.approx(np.trace(m @ m) / 64, rel=1e-8)
 
-    def test_rejects_asymmetric_input(self):
+    # the guard is relative to max |m|, however small
+    @pytest.mark.parametrize("m", [[[0.0, 1.0], [0.0, 0.0]], [[0.0, 1e-13], [0.0, 0.0]], [[0.0, 0.0], [1e-13, 0.0]]])
+    def test_rejects_asymmetric_input(self, m):
         with pytest.raises(InvalidInput):
-            spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
+            spectrum(np.array(m))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, bad):

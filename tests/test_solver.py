@@ -133,7 +133,13 @@ class TestSolveProfile:
         assert info.value.stage is not None
         assert info.value.residual is not None
 
-    def test_continuation_engages_below_sqrt_mass(self):
+    def test_direct_stage_converges_below_sqrt_mass(self):
+        prof = solve_profile(constant_density(4.0), 0.1j)
+        assert prof.stages == 1
+        assert prof.residual <= 1e-10
+
+    def test_continuation_engages_below_sqrt_mass(self, monkeypatch):
+        monkeypatch.setattr(solver, "_DIRECT_ITERATIONS", 1)  # the direct stage stalls
         prof = solve_profile(constant_density(4.0), 0.1j)
         assert prof.stages > 1
         assert prof.residual <= 1e-10
@@ -214,7 +220,8 @@ class TestSolveCurve:
         b = constant_density(1.0)
         curve = solve_curve(b, [1j])
         prof = solve_profile(b, 1j)
-        assert abs(curve.S[0] - prof.S) < 1e-12
+        # Newton steps against the plain map: each stops within the tolerance
+        assert abs(curve.S[0] - prof.S) <= 10 * 1e-10
 
     def test_profile_and_one_point_curve_share_the_block_path(self):
         # an unfactored density: both run the plain and Anderson-mixed map
@@ -257,11 +264,21 @@ class TestSolveCurve:
             assert abs(s - solve_profile(b, z).S) <= 10 * 1e-10
             assert res <= 1e-10
 
-    def test_loose_inner_stages_save_iterations(self, monkeypatch):
-        # a full-rank grid runs the N x N map, whose points below sqrt(mass) take the ladder
+    def test_direct_stage_saves_iterations_on_the_full_rank_map(self):
+        # below sqrt(mass) = 2 the ladder alone took 753 column-iterations
         b = full_rank_density(np.random.default_rng(41), 48, 4.0)
         assert solver._factor(b) is None
-        contour = np.linspace(-3.0, 3.0, 13) + 0.1j  # below sqrt(mass) = 2: ladders
+        curve = solve_curve(b, np.linspace(-3.0, 3.0, 13) + 0.1j)
+        assert curve.iterations.sum() <= 500
+        assert curve.residuals.max() <= 1e-10
+
+    def test_loose_inner_stages_save_iterations(self, monkeypatch):
+        # a full-rank grid runs the N x N map; without the direct stage its points take the ladder
+        b = full_rank_density(np.random.default_rng(41), 48, 4.0)
+        assert solver._factor(b) is None
+        attempts = solver._attempts
+        monkeypatch.setattr(solver, "_attempts", lambda *args: attempts(*args)[1:])  # the ladder alone
+        contour = np.linspace(-3.0, 3.0, 13) + 0.1j  # below sqrt(mass) = 2
         loose = solve_curve(b, contour)
         monkeypatch.setattr(solver, "_INNER_TOLERANCE", 0.0)  # every stage to full tolerance
         full = solve_curve(b, contour)
