@@ -11,6 +11,7 @@ Exit codes: 0 ok, 1 threshold exceeded, 2 bad input, 3 not a density,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -200,12 +201,9 @@ def cmd_solve(args):
 
 
 def cmd_simulate(args):
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.replicates is not None:
-        overrides["replicates"] = args.replicates
-    cfg, model_path = io.ensemble_config_from_file(args.config, overrides)
+    cfg, model_path = io.ensemble_config_from_file(args.config)
+    flags = {"seed": args.seed, "replicates": args.replicates}
+    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
     contour = parse_contour_spec(args.contour) if args.contour else None
     result = ensemble_esd(cfg, contour=contour, threads=_threads())
     out_dir = Path(args.out_dir)

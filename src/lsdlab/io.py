@@ -216,15 +216,13 @@ def solver_config_from_file(path):
     return SolverConfig(**kwargs)
 
 
-def ensemble_config_from_file(path, overrides=None):
+def ensemble_config_from_file(path):
     """Build an EnsembleConfig from key=value text.
 
     Keys: n, replicates, seed, model (path, relative to the config file),
-    symmetrization, innovation. ``overrides`` may replace seed/replicates.
-    Returns (config, model_path).
+    symmetrization, innovation. Returns (config, model_path).
     """
     raw = read_keyvalue(path)
-    overrides = overrides or {}
     required = ("n", "seed", "model")
     for key in required:
         if key not in raw:
@@ -238,8 +236,8 @@ def ensemble_config_from_file(path, overrides=None):
     try:
         cfg = EnsembleConfig(
             n=int(raw["n"]),
-            replicates=int(overrides.get("replicates", raw.get("replicates", 1))),
-            seed=int(overrides.get("seed", raw["seed"])),
+            replicates=int(raw.get("replicates", 1)),
+            seed=int(raw["seed"]),
             model=model,
             symmetrization=raw.get("symmetrization", "wigner"),
             innovation=raw.get("innovation", "gaussian"),

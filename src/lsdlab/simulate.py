@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import InvalidInput, NoConvergenceEig
 from .spectral import FilterCoefficients, VolterraCoefficients, covariance_from_filter, covariance_from_volterra
-from .stieltjes import DistributionTable, StieltjesCurve, empirical_curve, table_from_samples
+from .stieltjes import DistributionTable, StieltjesCurve, _sample, empirical_curve, table_from_samples
 
 __all__ = [
     "EnsembleConfig",
@@ -87,9 +87,7 @@ class EmpiricalSpectrum:
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        e = np.sort(np.asarray(self.eigenvalues, dtype=float))
-        if e.ndim != 1 or e.size == 0:
-            raise InvalidInput("spectrum must be a nonempty 1-D array")
+        e = np.sort(_sample(self.eigenvalues))
         e.setflags(write=False)
         object.__setattr__(self, "eigenvalues", e)
 

@@ -457,10 +457,10 @@ def solve_curve(b, contour, cfg=None):
     A density of rank r <= _NEWTON_MAX_RANK (one _factor per call) is solved
     by Newton steps in r unknowns, whose iterations each cost a matrix
     product with b plus an r x r solve; other densities run the N x N map.
-    Points come back in (descending Im z, ascending Re z) order, each with the
-    S, iterations and final residual the block returns for it.
+    Points come back in contour order. NoConvergence names the first point
+    to fail, ties going to the earlier point of the contour.
     """
-    zs = np.array(sorted(_upper_half_plane(np.ravel(contour)).tolist(), key=lambda z: (-z.imag, z.real)))
+    zs = _upper_half_plane(np.ravel(contour))
     if not zs.size:
         raise InvalidInput("contour must contain at least one point")
     S, iterations, residuals = _solve_block(b, zs, cfg or DEFAULT_CONFIG, factor=_factor(b))[:3]
@@ -497,14 +497,15 @@ def solve_product_form(t, z, cfg=None):
 
     Continuation follows the full solver's attempts, with the profile's mean
     square in the role of the contraction mass (it dominates the rank-one
-    grid mass). Only the converged attempt's iterations are counted.
+    grid mass). ``iterations`` counts every attempt, the stalled ones included.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = _upper_half_plane(z)
     tv = np.asarray(t.values, dtype=float)
     m2 = float(np.mean(tv * tv))
+    total = 0
     for stages in _attempts(z.imag, m2, cfg):
-        v, total = 0j, 0
+        v = 0j
         for stage, (h, d, tol, _, budget) in enumerate(stages):
             v, res, its, ok = _scalar_stage(tv, complex(z.real, h), v, d, tol, budget)
             total += its

@@ -82,21 +82,26 @@ class StieltjesCurve:
         return self.z.size
 
 
+def _sample(values):
+    """values as a float array, checked to be a nonempty, 1-D, finite sample."""
+    e = np.asarray(values, dtype=float)
+    if e.ndim != 1 or e.size == 0:
+        raise InvalidInput("need a nonempty 1-D sample")
+    if not np.isfinite(e).all():
+        raise InvalidInput("sample values must be finite")
+    return e
+
+
 def empirical_stieltjes(eigs, z):
     """Transform of an eigenvalue sample: (1/n) sum_k 1/(lambda_k - z)."""
     z = _upper_half_plane(z)
-    e = np.asarray(eigs, dtype=float)
-    if e.ndim != 1 or e.size == 0:
-        raise InvalidInput("need at least one eigenvalue")
-    return complex(np.mean(1.0 / (e - z)))
+    return complex(np.mean(1.0 / (_sample(eigs) - z)))
 
 
 def empirical_curve(eigs, contour):
     """Empirical transform evaluated at every contour point."""
     zs = np.asarray(contour, dtype=complex)
-    e = np.asarray(eigs, dtype=float)
-    if e.ndim != 1 or e.size == 0:
-        raise InvalidInput("need at least one eigenvalue")
+    e = _sample(eigs)
     if zs.ndim != 1 or zs.size == 0:
         raise InvalidInput("contour must be a nonempty 1-D array")
     _upper_half_plane(zs)
@@ -202,9 +207,7 @@ def table_from_samples(samples, xs):
     consistent while approximating the empirical staircase at grid resolution.
     """
     xs = _check_grid(xs)
-    e = np.asarray(samples, dtype=float)
-    if e.ndim != 1 or e.size == 0:
-        raise InvalidInput("need at least one sample")
+    e = _sample(samples)
     mids = 0.5 * (xs[1:] + xs[:-1])
     edges = np.concatenate(([xs[0] - 0.5 * (xs[1] - xs[0])], mids, [xs[-1] + 0.5 * (xs[-1] - xs[-2])]))
     counts, _ = np.histogram(e, bins=edges)

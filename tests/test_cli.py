@@ -381,6 +381,15 @@ class TestSimulateCommand:
         assert main(["simulate", str(cfg), "--seed", "1", "--out-dir", str(out2)]) == 0
         assert (out1 / "eigenvalues.csv").read_bytes() != (out2 / "eigenvalues.csv").read_bytes()
 
+    def test_seed_and_replicates_flags_replace_the_config(self, tmp_path):
+        cfg = self.write_ensemble(tmp_path, replicates=2)
+        out = tmp_path / "out"
+        assert main(["simulate", str(cfg), "--seed", "1", "--replicates", "3", "--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["seed"] == 1 and manifest["config"]["replicates"] == 3
+        assert len((out / "runlog.jsonl").read_text().splitlines()) == 3
+        assert main(["simulate", str(cfg), "--replicates", "0", "--out-dir", str(out)]) == 2
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)]) == 2
 
@@ -409,6 +418,34 @@ class TestCompareCommand:
         p1, p2 = self.make_tables(tmp_path)
         assert main(["compare", str(p1), str(p2), "--threshold-k", "0.0"]) == 1
         assert main(["compare", str(p1), str(p2), "--threshold-k", "1.0"]) == 0
+
+    def test_levy_threshold(self, tmp_path):
+        p1, p2 = self.make_tables(tmp_path)
+        assert main(["compare", str(p1), str(p2), "--threshold-levy", "0.0"]) == 1
+        assert main(["compare", str(p1), str(p2), "--threshold-levy", "1.0"]) == 0
+
+    def test_gap_threshold(self, tmp_path):
+        from lsdlab import solve_curve
+
+        paths = [tmp_path / "c1.csv", tmp_path / "c2.csv"]
+        for path, sigma2 in zip(paths, (1.0, 2.0)):
+            io.write_curve_csv(path, solve_curve(DensityGrid(8, np.full((8, 8), sigma2)), np.array([1j, 2j])))
+        assert main(["compare", *map(str, paths), "--threshold-gap", "0.0"]) == 1
+        assert main(["compare", *map(str, paths), "--threshold-gap", "1.0"]) == 0
+
+    def test_solve_and_simulate_curves_on_a_descending_contour(self, tmp_path, capsys):
+        # both commands keep the contour's order, so their curves compare point by point
+        model = write_model(tmp_path, "0 0 1.0\n1 0 1.0\n0 1 1.0\n")
+        ensemble = tmp_path / "ensemble.txt"
+        ensemble.write_text("n = 24\nreplicates = 1\nseed = 7\nmodel = model.txt\n")
+        spec = "im=0.05,re=9:-9:61"
+        solve, sim = tmp_path / "solve", tmp_path / "simulate"
+        assert main(["solve", str(model), "--grid", "32", "--contour", spec, "--out-dir", str(solve)]) == 0
+        assert main(["simulate", str(ensemble), "--contour", spec, "--out-dir", str(sim)]) == 0
+        curve = io.read_curve_csv(solve / "curve.csv")
+        assert np.array_equal(curve.z, parse_contour_spec(spec))
+        assert main(["compare", str(solve / "curve.csv"), str(sim / "curve.csv")]) == 0
+        assert "sup_curve_gap=" in capsys.readouterr().out
 
     def test_curve_comparison(self, tmp_path, capsys):
         grid = DensityGrid(8, np.ones((8, 8)))

@@ -188,8 +188,6 @@ def test_ensemble_config_from_file(tmp_path):
     assert cfg.symmetrization == "additive"
     assert cfg.innovation == "rademacher"
     assert model_path == model
-    over, _ = io.ensemble_config_from_file(cfg_path, overrides={"seed": 1, "replicates": 9})
-    assert over.seed == 1 and over.replicates == 9
 
 
 def test_manifest_digests_and_determinism(tmp_path):

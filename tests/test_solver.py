@@ -337,14 +337,46 @@ class TestSolveCurve:
 
     def test_no_convergence_names_the_contour_point(self):
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
-        with pytest.raises(NoConvergence, match=r"contour point z = -0\.5\+0\.05j: stage 0 at Im z"):
+        # both points stall in the same iteration: the earlier one in the contour is named
+        with pytest.raises(NoConvergence, match=r"contour point z = 0\.5\+0\.05j: stage 0 at Im z"):
             solve_curve(constant_density(1.0, 16), [0.5 + 0.05j, -0.5 + 0.05j], cfg)
 
-    def test_points_come_back_sorted(self):
-        b = constant_density(1.0)
-        curve = solve_curve(b, [0.5 + 1j, -0.5 + 1j, 0.0 + 2j])
-        assert curve.z[0] == 0.0 + 2j
-        assert curve.z[1] == -0.5 + 1j
+    @pytest.mark.parametrize(
+        "contour",
+        [
+            np.linspace(2.0, -2.0, 9) + 0.1j,  # horizontal, descending
+            0.3 + 1j * np.geomspace(0.05, 3.0, 5)[:, None],  # vertical, ascending, as a column
+            [0.5 + 1j, -0.5 + 1j, 0.0 + 2j, 1.0 + 0.2j],  # mixed
+        ],
+        ids=["horizontal", "vertical", "mixed"],
+    )
+    @pytest.mark.parametrize(
+        "b",
+        [constant_density(1.0, 32), full_rank_density(np.random.default_rng(67), 32, 1.0)],
+        ids=["newton", "full-rank"],
+    )
+    def test_points_come_back_in_contour_order(self, contour, b):
+        curve = solve_curve(b, contour)
+        assert np.array_equal(curve.z, np.ravel(contour))
+        for z, s in zip(curve.z, curve.S):
+            assert abs(s - solve_curve(b, [z]).S[0]) <= 10 * 1e-10
+
+    def test_singular_jacobian_falls_back_to_the_damped_update(self, monkeypatch):
+        def singular(*args):
+            raise np.linalg.LinAlgError("Singular matrix")
+
+        b = constant_density(1.0, 32)
+        zs = np.array([2j, 0.5 + 3j])  # certified: the damped update alone converges
+        plain = solver._solve_block(b, zs, solver.DEFAULT_CONFIG)
+        near, cfg = [0.5 + 0.05j], SolverConfig(max_iterations=5)
+        assert solve_curve(b, near, cfg).residuals[0] <= 1e-10  # Newton steps need no more
+        monkeypatch.setattr(np.linalg, "solve", singular)
+        # every Newton point is NaN, so each column takes the damped update: the plain map's iterates
+        curve = solve_curve(b, zs)
+        assert np.array_equal(curve.S, plain[0])
+        assert np.array_equal(curve.iterations, plain[1])
+        with pytest.raises(NoConvergence):
+            solve_curve(b, near, cfg)
 
     def test_rejects_bad_contour(self):
         b = constant_density(1.0)
@@ -427,8 +459,21 @@ class TestProductForm:
         assert not solver._scalar_stage(t.values, 1.05j, 0j, 1.0, 1e-10, 4)[3]
         sol = solve_product_form(t, 1.05j, SolverConfig(max_iterations=4))
         assert abs(sol.S - semicircle_transform(1.0, 1.05j)) < 1e-8
-        # the 4-stage ladder's iterations; the stalled attempt's 4 are not counted
-        assert sol.iterations == 13
+        # the stalled attempt's 4 iterations, then the 4-stage ladder's 13
+        assert sol.iterations == 17
+
+    def test_newton_point_below_the_axis_takes_the_damped_step(self):
+        t = profile_from_steps([0.5, 1.5, 1.0], 16)
+        z, damping = 1.6 + 0.01j, 0.5  # the direct stage is uncertified: half damping
+        v = solver._scalar_stage(t.values, z, 0j, damping, 1e-10, 2)[0]  # two Newton steps
+        q = t.values / (z + t.values * v)
+        f = -q.mean()
+        assert (v - (v - f) / (1.0 - (q * q).mean())).imag < 0  # the third Newton point
+        step = solver._scalar_stage(t.values, z, v, damping, 1e-10, 1)[0]
+        assert abs(step - ((1.0 - damping) * v + damping * f)) <= 1e-15 * abs(v)
+        sol = solve_product_form(t, z)
+        assert sol.residual <= 1e-10 and sol.iterations == 9  # still on the direct stage
+        assert abs(sol.S - solve_curve(density_from_profile(t), [z]).S[0]) <= 1e-8
 
     def test_points_near_the_axis_converge_without_a_ladder(self, monkeypatch):
         heights = []

@@ -208,8 +208,11 @@ class TestRoundTrip:
         lambda: StieltjesCurve([1j, 2j], [0.5j, complex(0.0, np.inf)]),
         lambda: invert_to_distribution(semicircle_curve(0.05), [0.0, np.nan]),
         lambda: table_from_samples([0.0, 1.0], [0.0, 1.0, np.inf]),
+        lambda: empirical_stieltjes([0.0, np.inf], 1j),
+        lambda: empirical_curve([np.nan, 0.0], [1j]),
+        lambda: table_from_samples([np.nan, 0.0, 0.1], np.linspace(-1.0, 1.0, 11)),
     ],
-    ids=["nan-z", "inf-S", "nan-xs-invert", "inf-xs-table"],
+    ids=["nan-z", "inf-S", "nan-xs-invert", "inf-xs-table", "inf-sample", "nan-sample-curve", "nan-sample-table"],
 )
 def test_non_finite_curves_and_grids_rejected(call):
     with pytest.raises(InvalidInput, match="finite"):
