@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io
-from .errors import InvalidInput, LsdlabError, NoConvergence, NoConvergenceEig, NotADensity
+from .errors import InvalidInput, LsdlabError, NoConvergence, NotADensity
 from .simulate import ensemble_esd, field_variance
 from .solver import DEFAULT_CONFIG, solve_curve, solve_product_form
 from .spectral import (
@@ -108,7 +108,7 @@ def _load_density(args):
     path = Path(args.input)
     if not path.exists():
         raise InvalidInput(f"no such file: {path}")
-    if io._first_line(path).isdigit():
+    if io._first_line(path).isdecimal():
         for name in ("grid", "volterra_radius", "symmetrize"):
             if getattr(args, name) is not None:
                 flag = "--" + name.replace("_", "-")
@@ -249,8 +249,7 @@ def _sniff_kind(path):
 
 
 def cmd_compare(args):
-    kind_a = _sniff_kind(args.a) if args.kind == "auto" else args.kind
-    kind_b = _sniff_kind(args.b) if args.kind == "auto" else args.kind
+    kind_a, kind_b = _sniff_kind(args.a), _sniff_kind(args.b)
     if kind_a != kind_b:
         raise InvalidInput(f"cannot compare a {kind_a} with a {kind_b}")
     failed = False
@@ -315,7 +314,6 @@ def build_parser():
     p_cmp = sub.add_parser("compare", help="distances between tables or curves")
     p_cmp.add_argument("a")
     p_cmp.add_argument("b")
-    p_cmp.add_argument("--kind", choices=("auto", "table", "curve"), default="auto")
     p_cmp.add_argument("--threshold-k", type=float, default=None)
     p_cmp.add_argument("--threshold-levy", type=float, default=None)
     p_cmp.add_argument("--threshold-gap", type=float, default=None)
@@ -342,9 +340,6 @@ def main(argv=None):
             file=sys.stderr,
         )
         return EXIT_SOLVER
-    except NoConvergenceEig as exc:
-        print(f"error: simulation failed: {exc}", file=sys.stderr)
-        return EXIT_SIMULATION
     except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -31,7 +31,3 @@ class NoConvergence(LsdlabError):
 
 class NoConvergenceEig(LsdlabError):
     """The symmetric eigensolver failed to converge."""
-
-    def __init__(self, message, replicate=None):
-        super().__init__(message)
-        self.replicate = replicate

@@ -75,10 +75,6 @@ class EnsembleConfig:
         if not isinstance(self.model, (FilterCoefficients, VolterraCoefficients)):
             raise InvalidInput("model must be FilterCoefficients or VolterraCoefficients")
 
-    @property
-    def model_kind(self):
-        return "filter" if isinstance(self.model, FilterCoefficients) else "volterra"
-
 
 @dataclass(frozen=True)
 class EmpiricalSpectrum:
@@ -107,42 +103,40 @@ def _innovations(rng, shape, kind):
     raise InvalidInput(f"unknown innovation kind {kind!r}")
 
 
-def generate_linear_patch(a, n, seed, innovation="gaussian"):
-    """Exact moving-average field on an n x n square: x[i,j] = sum a[u,v] xi[i+u, j+v]."""
+def _patch(terms, n, pad, seed, innovation):
+    """Sum of term products over an n x n square of seeded innovations padded by ``pad``.
+
+    A term ``(c, (i0, j0), *more)`` adds c * xi[i0 + i, j0 + j], times
+    xi[i_k + i, j_k + j] for each further offset, to out[i, j].
+    """
     if n < 1:
         raise InvalidInput("patch size must be >= 1")
     rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
-    size = n + 2 * a.m
-    innov = _innovations(rng, (size, size), innovation)
-    taps = [(p, q, c) for (p, q), c in np.ndenumerate(a.coeffs) if c != 0.0]
+    innov = _innovations(rng, (n + 2 * pad, n + 2 * pad), innovation)
     out = np.zeros((n, n))
     scratch = np.empty((min(n, _ROW_BLOCK), n))
     for r in range(0, n, _ROW_BLOCK):
         o = out[r : r + _ROW_BLOCK]
         t = scratch[: len(o)]
-        for p, q, c in taps:
-            o += np.multiply(c, innov[r + p : r + p + len(o), q : q + n], out=t)
+        for c, (i0, j0), *more in terms:
+            np.multiply(c, innov[r + i0 : r + i0 + len(o), j0 : j0 + n], out=t)
+            for i, j in more:
+                t *= innov[r + i : r + i + len(o), j : j + n]
+            o += t
     return out
+
+
+def generate_linear_patch(a, n, seed, innovation="gaussian"):
+    """Exact moving-average field on an n x n square: x[i,j] = sum a[u,v] xi[i+u, j+v]."""
+    terms = [(c, (p, q)) for (p, q), c in np.ndenumerate(a.coeffs) if c != 0.0]
+    return _patch(terms, n, a.m, seed, innovation)
 
 
 def generate_volterra_patch(bv, n, seed):
     """Bilinear field x[k] = sum_e b_e xi[k - u_e] xi[k - v_e] with gaussian innovations."""
-    if n < 1:
-        raise InvalidInput("patch size must be >= 1")
-    rng = np.random.Generator(np.random.PCG64(int(seed) & _MASK64))
-    pad = bv.support_radius
-    size = n + 2 * pad
-    innov = rng.standard_normal((size, size))
-    out = np.zeros((n, n))
-    scratch = np.empty((min(n, _ROW_BLOCK), n))
-    for r in range(0, n, _ROW_BLOCK):
-        o = out[r : r + _ROW_BLOCK]
-        t = scratch[: len(o)]
-        for ((u1, u2), (v1, v2)), c in bv.entries.items():
-            x = innov[r + pad - u1 : r + pad - u1 + len(o), pad - u2 : pad - u2 + n]
-            y = innov[r + pad - v1 : r + pad - v1 + len(o), pad - v2 : pad - v2 + n]
-            o += np.multiply(np.multiply(c, x, out=t), y, out=t)
-    return out
+    r = bv.support_radius
+    terms = [(c, (r - u1, r - u2), (r - v1, r - v2)) for ((u1, u2), (v1, v2)), c in bv.entries.items()]
+    return _patch(terms, n, r, seed, "gaussian")
 
 
 def assemble_matrix(patch, symmetrization):
@@ -233,7 +227,7 @@ class EnsembleResult:
 def _one_replicate(cfg, index):
     seed = replicate_seed(cfg.seed, index)
     start = time.perf_counter()
-    if cfg.model_kind == "filter":
+    if isinstance(cfg.model, FilterCoefficients):
         patch = generate_linear_patch(cfg.model, cfg.n, seed, cfg.innovation)
     else:
         patch = generate_volterra_patch(cfg.model, cfg.n, seed)
@@ -244,7 +238,7 @@ def _one_replicate(cfg, index):
     try:
         spec = spectrum(matrix)
     except NoConvergenceEig as exc:
-        raise NoConvergenceEig(f"replicate {index}: {exc}", replicate=index) from exc
+        raise NoConvergenceEig(f"replicate {index}: {exc}") from exc
     end = time.perf_counter()
     record = {
         "replicate": index,

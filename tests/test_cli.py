@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lsdlab
 from lsdlab import DensityGrid, io
 from lsdlab.cli import _threads, main, parse_contour_spec
 from lsdlab.errors import InvalidInput, LsdlabError
@@ -24,6 +29,24 @@ def test_thread_cap_from_environment(monkeypatch):
     monkeypatch.setenv("LSD_LAB_THREADS", "many")
     with pytest.raises(InvalidInput):
         _threads()
+
+
+def test_no_arguments_exits_2_and_help_exits_0(capsys):
+    assert main([]) == 2
+    assert main(["--help"]) == 0
+    assert "usage: lsdlab" in capsys.readouterr().out
+
+
+def test_module_entry_point_propagates_the_exit_code(tmp_path):
+    src = str(Path(lsdlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+    def run(*args):
+        cmd = [sys.executable, "-m", "lsdlab", *args]
+        return subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, text=True).returncode
+
+    assert run() == 2
+    assert run("--help") == 0
 
 
 def test_contour_spec_parsing():
@@ -169,6 +192,28 @@ class TestSolveCommand:
         assert table.cdf[-1] > 0.95
         manifest = json.loads((out / "manifest.json").read_text())
         assert set(manifest["outputs"]) == {"curve.csv", "distribution.csv"}
+
+    def test_missing_input_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.txt"
+        assert main(["solve", str(missing), "--contour", "im=1,re=0:0:1", "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"no such file: {missing}" in capsys.readouterr().err
+
+    def test_solver_config_with_zero_damping_exits_2(self, tmp_path, capsys):
+        model = write_model(tmp_path, "0 0 1.0\n")
+        solver_cfg = tmp_path / "solver.txt"
+        solver_cfg.write_text("damping = 0\n")
+        args = ["--grid", "16", "--contour", "im=1,re=0:0:1", "--solver-config", str(solver_cfg)]
+        assert main(["solve", str(model), *args, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "damping must be in (0, 1]" in capsys.readouterr().err
+
+    def test_non_decimal_first_line_is_not_a_density_csv(self, tmp_path, capsys):
+        # "\u00b2".isdigit() holds, but read_density_csv needs a decimal size
+        path = write_model(tmp_path, "\u00b2\n1,1\n1,1\n", name="density.csv")
+        args = ["--grid", "16", "--contour", "im=1,re=0:0:1", "--out-dir", str(tmp_path / "o")]
+        assert main(["solve", str(path), *args]) == 2
+        err = capsys.readouterr().err
+        assert "expected 3 or 5 columns" in err
+        assert "is a density CSV" not in err
 
     def test_no_convergence_exits_4(self, tmp_path):
         model = write_model(tmp_path, "0 0 1.0\n1 0 1.0\n")
@@ -390,6 +435,15 @@ class TestSimulateCommand:
         assert len((out / "runlog.jsonl").read_text().splitlines()) == 3
         assert main(["simulate", str(cfg), "--replicates", "0", "--out-dir", str(out)]) == 2
 
+    def test_eigensolver_failure_exits_5_naming_the_replicate(self, tmp_path, capsys, monkeypatch):
+        def failing(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+        cfg = self.write_ensemble(tmp_path)
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 5
+        assert "replicate 0: eigensolver failed: Eigenvalues did not converge" in capsys.readouterr().err
+
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)]) == 2
 
@@ -466,6 +520,11 @@ class TestCompareCommand:
         pc = tmp_path / "c.csv"
         io.write_curve_csv(pc, curve)
         assert main(["compare", str(p1), str(pc)]) == 2
+
+    def test_header_alone_decides_the_kind(self, tmp_path, capsys):
+        p1, _ = self.make_tables(tmp_path)
+        assert main(["compare", str(p1), str(p1), "--kind", "table"]) == 2
+        assert "unrecognized arguments: --kind" in capsys.readouterr().err
 
     def test_garbage_file_exits_2(self, tmp_path):
         bad = tmp_path / "bad.csv"

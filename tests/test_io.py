@@ -190,6 +190,23 @@ def test_ensemble_config_from_file(tmp_path):
     assert model_path == model
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("n = 64\nmodel = model.txt\n", "missing required key 'seed'"),
+        ("n = 64\nseed = 1\nmodel = model.txt\nsymmetrisation = additive\n", "unknown ensemble key 'symmetrisation'"),
+        ("n = ten\nseed = 1\nmodel = model.txt\n", "invalid literal for int"),
+    ],
+    ids=["missing-key", "unknown-key", "non-integer-n"],
+)
+def test_ensemble_config_from_file_rejects_bad_keys_and_values(tmp_path, text, message):
+    (tmp_path / "model.txt").write_text("0 0 1.0\n")
+    cfg_path = tmp_path / "ensemble.txt"
+    cfg_path.write_text(text)
+    with pytest.raises(InvalidInput, match=message):
+        io.ensemble_config_from_file(cfg_path)
+
+
 def test_manifest_digests_and_determinism(tmp_path):
     src = tmp_path / "in.txt"
     src.write_text("0 0 1.0\n")

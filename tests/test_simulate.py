@@ -275,6 +275,14 @@ class TestEnsemble:
         )
         assert not additive.outside_hypotheses
 
+    def test_bilinear_exchange_symmetry(self):
+        # lag (1, 0) pairs the chain's two entries, so gamma[1,0] = 1 while gamma[0,1] = 0
+        chain = VolterraCoefficients({((0, 0), (1, 0)): 1.0, ((1, 0), (2, 0)): 1.0})
+        assert not covariance_exchange_symmetric(chain)
+        assert covariance_exchange_symmetric(VolterraCoefficients({((0, 0), (1, 0)): 1.0}))
+        cfg = EnsembleConfig(n=16, replicates=1, seed=1, model=chain)
+        assert ensemble_esd(cfg, contour=np.array([1j])).outside_hypotheses
+
     def test_field_variance(self):
         assert field_variance(TWO_TAP) == pytest.approx(2.0)
         assert field_variance(VolterraCoefficients({((0, 0), (1, 0)): 1.0})) == pytest.approx(1.0)

@@ -386,6 +386,22 @@ class TestSolveCurve:
             solve_curve(b, [1j, 1.0 + 0j])
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("tolerance", 0.0),
+        ("max_iterations", 0),
+        ("damping", 0.0),
+        ("damping", 1.5),
+        ("continuation_factor", 1.0),
+        ("safe_height_multiplier", 0.5),
+    ],
+)
+def test_solver_config_rejects_out_of_range_values(field, value):
+    with pytest.raises(InvalidInput, match=field):
+        SolverConfig(**{field: value})
+
+
 def herglotz_rows():
     """Three points that keep the Herglotz bounds, one row each; only the first row's |pi| reaches 1e6."""
     z = np.array([1j, 0.5 + 2j, -1.0 + 0.5j])
