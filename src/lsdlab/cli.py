@@ -50,7 +50,10 @@ EXIT_SIMULATION = 5
 def parse_contour_spec(spec):
     """Parse ``im=eps,re=a:b:count`` into a horizontal contour array."""
     try:
-        parts = dict(item.split("=", 1) for item in spec.split(","))
+        pairs = [item.split("=", 1) for item in spec.split(",")]
+        parts = dict(pairs)
+        if len(parts) < len(pairs):
+            raise InvalidInput(f"bad contour spec {spec!r}: repeated key")
         eps = float(parts.pop("im"))
         re_spec = parts.pop("re")
     except (KeyError, ValueError) as exc:
@@ -84,27 +87,29 @@ def _threads():
         raise InvalidInput(f"LSD_LAB_THREADS must be an integer, got {raw!r}")
 
 
-# Grid flag defaults for model files; a density CSV fixes its own grid.
+# Grid size for model files; a density CSV fixes its own grid.
 GRID = 128
-VOLTERRA_RADIUS = 8
 
 
 def _grid_from_model(path, n, radius, symmetrize):
-    """Density grid of a model file on an n-point grid (radius: Volterra covariance)."""
+    """Density grid of a model file on an n-point grid, its kind and the covariance radius
+    applied: ``radius`` (None: the whole reach) for a bilinear model, None for a filter."""
     kind, model = io.read_model_file(path)
     if kind == "filter":
+        if radius is not None:
+            raise InvalidInput(f"--volterra-radius applies to bilinear models only; {path} is a filter")
         grid = density_from_filter(model, n)
     else:
         table = covariance_from_volterra(model, radius)
-        grid = density_from_covariance(table, n)
+        grid, radius = density_from_covariance(table, n), table.radius
     if symmetrize:
         grid = symmetrize_density(grid)
-    return grid, kind
+    return grid, kind, radius
 
 
 def _load_density(args):
     """Resolve the solve input: a density CSV (where a grid flag is an error), or a
-    model file under the grid flags. Returns the grid and the Volterra radius applied."""
+    model file under the grid flags. Returns the grid and the covariance radius applied."""
     path = Path(args.input)
     if not path.exists():
         raise InvalidInput(f"no such file: {path}")
@@ -115,12 +120,12 @@ def _load_density(args):
                 raise InvalidInput(f"{flag} applies to model files only; {path} is a density CSV")
         return io.read_density_csv(path), None
     n = GRID if args.grid is None else args.grid
-    radius = VOLTERRA_RADIUS if args.volterra_radius is None else args.volterra_radius
-    return _grid_from_model(path, n, radius, args.symmetrize)[0], radius
+    grid, _, radius = _grid_from_model(path, n, args.volterra_radius, args.symmetrize)
+    return grid, radius
 
 
 def cmd_density(args):
-    grid, kind = _grid_from_model(args.model, args.grid, args.volterra_radius, args.symmetrize)
+    grid, kind, radius = _grid_from_model(args.model, args.grid, args.volterra_radius, args.symmetrize)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     density_path = out_dir / "density.csv"
@@ -133,7 +138,7 @@ def cmd_density(args):
             "model_kind": kind,
             "grid": args.grid,
             "symmetrize": bool(args.symmetrize),
-            "volterra_radius": args.volterra_radius,
+            "volterra_radius": radius,
             "mass": grid.mass,
             "symmetric": grid.is_symmetric(),
         },
@@ -286,7 +291,7 @@ def build_parser():
     p_density.add_argument("model", help="coefficient table (u v a | u1 u2 v1 v2 b)")
     p_density.add_argument("--grid", type=int, default=GRID, metavar="N")
     p_density.add_argument("--symmetrize", action="store_true")
-    p_density.add_argument("--volterra-radius", type=int, default=VOLTERRA_RADIUS, metavar="R")
+    p_density.add_argument("--volterra-radius", type=int, metavar="R", help="default: the covariance's reach")
     p_density.add_argument("--out-dir", default=".")
     p_density.set_defaults(func=cmd_density)
 
@@ -297,7 +302,7 @@ def build_parser():
     p_solve.add_argument("--grid", type=int, metavar="N", help=f"default {GRID}")
     p_solve.add_argument("--symmetrize", action="store_true", default=None)
     p_solve.add_argument("--product-form", action="store_true")
-    p_solve.add_argument("--volterra-radius", type=int, metavar="R", help=f"default {VOLTERRA_RADIUS}")
+    p_solve.add_argument("--volterra-radius", type=int, metavar="R", help="default: the covariance's reach")
     p_solve.add_argument("--solver-config", default=None, metavar="FILE")
     p_solve.add_argument("--xs", default=None, metavar="A:B:COUNT", help="write --xs=A:B:COUNT when A < 0")
     p_solve.add_argument("--out-dir", default=".")
@@ -342,6 +347,9 @@ def main(argv=None):
         return EXIT_SOLVER
     except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:  # an input too large to allocate, such as the matrix order
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except LsdlabError as exc:
         # any other library error is a failed postcondition: solver trouble

@@ -200,7 +200,7 @@ def covariance_exchange_symmetric(model):
     if isinstance(model, FilterCoefficients):
         table = covariance_from_filter(model, 2 * model.m)
     else:
-        table = covariance_from_volterra(model, 2 * model.support_radius)
+        table = covariance_from_volterra(model)
     return table.is_exchange_symmetric()
 
 

@@ -62,27 +62,23 @@ class SolverConfig:
     ``max_iterations`` is the budget of each ladder stage; the direct stage
     at the target height is capped at 50. ``damping`` applies inside the
     certified region (contraction factor < 1); stages below it use half of
-    it. ``continuation_factor`` is the geometric step for lowering Im z;
-    ``safe_height_multiplier`` scales the starting height of the ladder.
+    it. ``continuation_factor`` is the geometric step for lowering Im z.
     """
 
     tolerance: float = 1e-10
     max_iterations: int = 10_000
     damping: float = 1.0
     continuation_factor: float = 0.7
-    safe_height_multiplier: float = 1.0
 
     def __post_init__(self):
-        if not self.tolerance > 0:
-            raise InvalidInput("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise InvalidInput("max_iterations must be >= 1")
+        if not 0.0 < self.tolerance < np.inf:
+            raise InvalidInput("tolerance must be positive and finite")
+        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+            raise InvalidInput("max_iterations must be an integer >= 1")
         if not 0.0 < self.damping <= 1.0:
             raise InvalidInput("damping must be in (0, 1]")
         if not 0.0 < self.continuation_factor < 1.0:
             raise InvalidInput("continuation_factor must be in (0, 1)")
-        if self.safe_height_multiplier < 1.0:
-            raise InvalidInput("safe_height_multiplier must be >= 1")
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -189,8 +185,7 @@ def continuity_bound(b1, b2, z):
 
 
 def _ladder_heights(im_target, mass, cfg):
-    h = cfg.safe_height_multiplier * max(im_target, 2.0 * np.sqrt(mass + 1.0))
-    heights = [h]
+    heights = [max(im_target, 2.0 * np.sqrt(mass + 1.0))]
     while heights[-1] * cfg.continuation_factor > im_target:
         heights.append(heights[-1] * cfg.continuation_factor)
     if heights[-1] > im_target:
@@ -502,9 +497,8 @@ def solve_product_form(t, z, cfg=None):
     cfg = cfg or DEFAULT_CONFIG
     z = _upper_half_plane(z)
     tv = np.asarray(t.values, dtype=float)
-    m2 = float(np.mean(tv * tv))
     total = 0
-    for stages in _attempts(z.imag, m2, cfg):
+    for stages in _attempts(z.imag, t.mean_square, cfg):
         v = 0j
         for stage, (h, d, tol, _, budget) in enumerate(stages):
             v, res, its, ok = _scalar_stage(tv, complex(z.real, h), v, d, tol, budget)

@@ -191,8 +191,12 @@ class DensityGrid:
         if (v < 0).any():
             raise InvalidInput("density grid has negative values")
         v.setflags(write=False)
+        with np.errstate(over="ignore"):  # an overflowing mass is refused below
+            mass = float(v.mean())
+        if not mass < np.inf:  # the solver's ladder would start at an infinite height
+            raise InvalidInput("density grid mass overflows")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "mass", float(v.mean()))
+        object.__setattr__(self, "mass", mass)
 
     def is_symmetric(self):
         """True when values[i, j] == values[j, i] to an absolute 1e-10."""
@@ -201,9 +205,13 @@ class DensityGrid:
 
 @dataclass(frozen=True)
 class ProfileFunction:
-    """Nonnegative 1-D profile t(x) at grid midpoints; rank-one densities are t(x)t(y)."""
+    """Nonnegative 1-D profile t(x) at grid midpoints; rank-one densities are t(x)t(y).
+
+    ``mean_square`` is the mean of t^2, which bounds the mass of t(x)t(y).
+    """
 
     values: np.ndarray
+    mean_square: float = field(init=False)
 
     def __post_init__(self):
         t = _frozen(self.values)
@@ -213,7 +221,12 @@ class ProfileFunction:
             raise InvalidInput("profile has non-finite values")
         if (t < 0).any():
             raise InvalidInput("profile values must be nonnegative")
+        with np.errstate(over="ignore"):  # an overflowing mean square is refused below
+            mean_square = float(np.mean(t * t))
+        if not mean_square < np.inf:  # the solver's ladder would start at an infinite height
+            raise InvalidInput("profile mean square overflows")
         object.__setattr__(self, "values", t)
+        object.__setattr__(self, "mean_square", mean_square)
 
     @property
     def n(self):
@@ -260,12 +273,14 @@ def density_from_filter(a, n):
     return DensityGrid(n, amp.real**2 + amp.imag**2)
 
 
-def covariance_from_volterra(bv, radius):
-    """Covariance of the bilinear field.
+def covariance_from_volterra(bv, radius=None):
+    """Covariance of the bilinear field on [-radius, radius]^2.
 
-    gamma_k = sum_{u,v} b[u,v] (b[u+k, v+k] + b[v+k, u+k]), an exact finite
-    sum over the stored entries (unit-variance innovations).
+    gamma_k = sum_{u,v} b[u,v] (b[u+k, v+k] + b[v+k, u+k]), exact over the
+    stored entries (unit-variance innovations). Past lag 2 support_radius,
+    the default radius, the sum has no terms.
     """
+    radius = 2 * bv.support_radius if radius is None else radius
     if radius < 0:
         raise InvalidInput("radius must be >= 0")
     ent = bv.entries

@@ -67,8 +67,8 @@ class StieltjesCurve:
         if not (z.shape == s.shape == it.shape == res.shape) or z.ndim != 1 or z.size == 0:
             raise InvalidInput("curve arrays must be equal-length nonempty 1-D arrays")
         _upper_half_plane(z)
-        if not np.isfinite(s).all():
-            raise InvalidInput("curve values must be finite")
+        if not (np.isfinite(s).all() and np.isfinite(res).all()):
+            raise InvalidInput("curve values and residuals must be finite")
         if (s.imag <= 0).any():
             raise InvalidInput("curve values must have Im S > 0")
         if (np.abs(s) > (1.0 + 1e-9) / z.imag).any():
@@ -127,10 +127,11 @@ class DistributionTable:
         xs = _frozen(self.xs)
         den = _frozen(self.density)
         cdf = _frozen(self.cdf)
-        if not (xs.shape == den.shape == cdf.shape) or xs.ndim != 1 or xs.size < 2:
-            raise InvalidInput("table arrays must be equal-length 1-D arrays, length >= 2")
-        if (np.diff(xs) <= 0).any():
-            raise InvalidInput("grid must be strictly increasing")
+        _check_grid(xs)
+        if not xs.shape == den.shape == cdf.shape:
+            raise InvalidInput("table arrays must be equal-length")
+        if not (np.isfinite(den).all() and np.isfinite(cdf).all()):
+            raise InvalidInput("table density and cdf must be finite")
         if (den < 0).any():
             raise InvalidInput("density must be nonnegative")
         if (np.diff(cdf) < -1e-12).any():
@@ -151,10 +152,10 @@ class DistributionTable:
 
 def _check_grid(xs):
     xs = np.asarray(xs, dtype=float)
+    if not np.isfinite(xs).all():  # first: differences of infinities warn
+        raise InvalidInput("xs must be finite")
     if xs.ndim != 1 or xs.size < 2 or (np.diff(xs) <= 0).any():
         raise InvalidInput("xs must be a strictly increasing grid with >= 2 points")
-    if not np.isfinite(xs).all():
-        raise InvalidInput("xs must be finite")
     return xs
 
 

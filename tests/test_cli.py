@@ -117,6 +117,43 @@ class TestDensityCommand:
         )
         assert code == 3
 
+    def test_bilinear_covariance_defaults_to_its_whole_reach(self, tmp_path):
+        # support radius 10: the covariance reaches lag 20, and radius 8 drops its far terms
+        model = write_model(tmp_path, "0 0 1 0 1.0\n9 0 10 0 1.0\n")
+
+        def density(*radius):
+            out = tmp_path / f"o{radius}"
+            flag = ["--volterra-radius", *radius] if radius else []
+            assert main(["density", str(model), "--grid", "64", *flag, "--out-dir", str(out)]) == 0
+            manifest = json.loads((out / "manifest.json").read_text())
+            return (out / "density.csv").read_bytes(), manifest["config"]["volterra_radius"]
+
+        default, whole, truncated = density(), density("20"), density("8")
+        assert default == whole and whole[1] == 20
+        assert truncated[0] != whole[0] and truncated[1] == 8
+        out = tmp_path / "solve"
+        assert main(["solve", str(model), "--grid", "16", "--contour", "im=1,re=0:0:1", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["volterra_radius"] == 20
+
+    def test_filter_model_manifest_records_no_radius(self, tmp_path):
+        model = write_model(tmp_path, "0 0 1.0\n1 0 1.0\n")
+        out = tmp_path / "o"
+        assert main(["density", str(model), "--grid", "16", "--out-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["volterra_radius"] is None
+        args = ["--grid", "16", "--contour", "im=1,re=0:0:1", "--out-dir", str(out)]
+        assert main(["solve", str(model), *args]) == 0
+        assert json.loads((out / "manifest.json").read_text())["config"]["volterra_radius"] is None
+
+    @pytest.mark.parametrize("command", ["density", "solve"])
+    def test_volterra_radius_on_a_filter_model_exits_2(self, tmp_path, capsys, command):
+        model = write_model(tmp_path, "0 0 1.0\n")
+        out = tmp_path / "o"
+        args = ["--volterra-radius", "4", "--grid", "16", "--out-dir", str(out)]
+        contour = ["--contour", "im=1,re=0:0:1"] if command == "solve" else []
+        assert main([command, str(model), *args, *contour]) == 2
+        assert "--volterra-radius applies to bilinear models only" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestSolveCommand:
     def test_constant_density_single_point(self, tmp_path):
@@ -205,6 +242,14 @@ class TestSolveCommand:
         args = ["--grid", "16", "--contour", "im=1,re=0:0:1", "--solver-config", str(solver_cfg)]
         assert main(["solve", str(model), *args, "--out-dir", str(tmp_path / "o")]) == 2
         assert "damping must be in (0, 1]" in capsys.readouterr().err
+
+    def test_solver_config_naming_a_removed_key_exits_2(self, tmp_path, capsys):
+        model = write_model(tmp_path, "0 0 1.0\n")
+        solver_cfg = tmp_path / "solver.txt"
+        solver_cfg.write_text("safe_height_multiplier = 2\n")
+        args = ["--grid", "16", "--contour", "im=1,re=0:0:1", "--solver-config", str(solver_cfg)]
+        assert main(["solve", str(model), *args, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "unknown solver key 'safe_height_multiplier'" in capsys.readouterr().err
 
     def test_non_decimal_first_line_is_not_a_density_csv(self, tmp_path, capsys):
         # "\u00b2".isdigit() holds, but read_density_csv needs a decimal size
@@ -366,8 +411,18 @@ def test_non_finite_spec_exits_2_before_any_work(tmp_path, capsys, monkeypatch, 
         ("solve", ["--contour", "im=0.05,re=-1:1:0"]),
         ("solve", ["--contour", "im=0.05,re=-1:1:21", "--xs=-5:5:11"]),
         ("simulate", ["--contour", "im=0.05,re=-1:1:0"]),
+        ("solve", ["--contour", "im=0.05,re=-1:1:3,im=3"]),
+        ("simulate", ["--contour", "re=-1:1:3,im=0.05,re=0:1:3"]),
     ],
-    ids=["xs-one-point", "xs-decreasing", "empty-contour", "xs-beyond-contour", "simulate-empty-contour"],
+    ids=[
+        "xs-one-point",
+        "xs-decreasing",
+        "empty-contour",
+        "xs-beyond-contour",
+        "simulate-empty-contour",
+        "repeated-key",
+        "simulate-repeated-key",
+    ],
 )
 def test_bad_grid_or_empty_contour_exits_2_before_any_work(tmp_path, monkeypatch, command, spec):
     code, out = run_forbidding_work(tmp_path, monkeypatch, command, spec)
@@ -443,6 +498,15 @@ class TestSimulateCommand:
         cfg = self.write_ensemble(tmp_path)
         assert main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 5
         assert "replicate 0: eigensolver failed: Eigenvalues did not converge" in capsys.readouterr().err
+
+    def test_input_too_large_to_allocate_exits_2(self, tmp_path, capsys, monkeypatch):
+        def too_large(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB for an array with shape (100000, 100000)")
+
+        monkeypatch.setattr("lsdlab.cli.ensemble_esd", too_large)
+        cfg = self.write_ensemble(tmp_path)
+        assert main(["simulate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error: out of memory: Unable to allocate 74.5 GiB" in capsys.readouterr().err
 
     def test_missing_config_exits_2(self, tmp_path):
         assert main(["simulate", str(tmp_path / "nope.txt"), "--out-dir", str(tmp_path)]) == 2

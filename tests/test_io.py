@@ -122,6 +122,42 @@ def test_csv_readers_reject_non_finite_values(tmp_path, reader, text, lineno):
         reader(path)
 
 
+@pytest.mark.parametrize(
+    "reader, text, message",
+    [
+        (io.read_model_file, "0 0 1 0 1\n0 0 1 0 2\n", "data.txt:2: duplicate entry"),
+        (io.read_model_file, "# no rows\n", "no coefficient rows"),
+        (io.read_density_csv, "two\n1,1\n1,1\n", "first line must be the grid size"),
+        (io.read_density_csv, "2\n1,1\n", "expected 2 rows after the header"),
+        (io.read_curve_csv, "x,density,cdf\n0,1,0\n", "missing header"),
+        (io.read_table_csv, "x,density,cdf\n0,1,0\n1,1\n", "data.txt:3: expected 3 columns"),
+        (io.read_curve_csv, "re_z,im_z,re_S,im_S,iterations,residual\n", "no curve rows"),
+        (io.read_table_csv, "x,density,cdf\n0,1,0\n", "need at least two table rows"),
+        (io.read_keyvalue, "tolerance\n", "data.txt:1: expected key=value"),
+        (io.read_keyvalue, "n = 1\nn = 2\n", "data.txt:2: duplicate key 'n'"),
+        (io.solver_config_from_file, "max_iterations = many\n", "bad value for max_iterations"),
+    ],
+    ids=[
+        "model-duplicate",
+        "model-empty",
+        "density-size",
+        "density-short",
+        "curve-header",
+        "table-columns",
+        "curve-empty",
+        "table-one-row",
+        "keyvalue-no-equals",
+        "keyvalue-duplicate",
+        "solver-bad-value",
+    ],
+)
+def test_readers_reject_malformed_files(tmp_path, reader, text, message):
+    path = tmp_path / "data.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidInput, match=message):
+        reader(path)
+
+
 def test_table_uncaptured_is_the_mass_below_one(tmp_path):
     path = tmp_path / "table.csv"
     path.write_text("x,density,cdf\n0,0.5,0\n1,0.5,0.5\n")

@@ -24,6 +24,7 @@ from lsdlab import (
 from lsdlab.simulate import (
     SEED_STRIDE,
     _innovations,
+    _patch,
     _one_replicate,
     covariance_exchange_symmetric,
     field_variance,
@@ -219,6 +220,22 @@ class TestSpectrum:
     def test_rejects_empty_input(self):
         with pytest.raises(InvalidInput, match="nonempty"):
             spectrum(np.zeros((0, 0)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: EnsembleConfig(n=4, replicates=1, seed=0, model=DELTA, innovation="cauchy"), "innovation must be"),
+        (lambda: EnsembleConfig(n=4, replicates=1, seed=0, model="0 0 1.0"), "model must be"),
+        (lambda: _innovations(np.random.default_rng(0), (2, 2), "cauchy"), "unknown innovation kind"),
+        (lambda: _patch([], 0, 0, 1, "gaussian"), "patch size must be >= 1"),
+        (lambda: assemble_matrix(np.ones((2, 3)), "wigner"), "patch must be square"),
+    ],
+    ids=["config-innovation", "config-model", "innovations", "patch-size", "assemble-non-square"],
+)
+def test_rejects_out_of_range_input(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
 
 
 class TestSeedSplitting:

@@ -54,6 +54,10 @@ def filter_of_order(rng, m):
 
 
 class TestSemicircleTransform:
+    def test_rejects_a_variance_that_is_not_positive(self):
+        with pytest.raises(InvalidInput, match="sigma2 must be positive"):
+            semicircle_transform(0.0, 1j)
+
     def test_hand_value_at_i(self):
         # -(i - sqrt(-5))/2 with the positive-imaginary root = i (sqrt(5)-1)/2
         expected = 1j * (np.sqrt(5.0) - 1.0) / 2.0
@@ -146,6 +150,12 @@ class TestSolveProfile:
 
 
 class TestContraction:
+    def test_ladder_starts_where_the_certificate_is_below_a_quarter(self):
+        for target, mass in ((0.05, 3.0), (0.05, 0.0), (10.0, 3.0)):
+            heights = solver._ladder_heights(target, mass, SolverConfig())
+            assert heights[0] == max(target, 2.0 * np.sqrt(mass + 1.0))
+            assert mass / heights[0] ** 2 < 0.25 and heights[-1] == target
+
     def test_certificate_value(self):
         assert contraction_certificate(constant_density(1.0, 8), 2j) == pytest.approx(0.25)
 
@@ -213,6 +223,8 @@ class TestContinuityBound:
         b = constant_density(4.0)
         with pytest.raises(InvalidInput):
             continuity_bound(b, b, 1j)  # (Im z)^2 = 1 < mass
+        with pytest.raises(InvalidInput, match="same size"):
+            continuity_bound(b, constant_density(4.0, n=32), 4j)
 
 
 class TestSolveCurve:
@@ -391,10 +403,11 @@ class TestSolveCurve:
     [
         ("tolerance", 0.0),
         ("max_iterations", 0),
+        ("max_iterations", np.inf),
         ("damping", 0.0),
         ("damping", 1.5),
         ("continuation_factor", 1.0),
-        ("safe_height_multiplier", 0.5),
+        ("tolerance", np.inf),
     ],
 )
 def test_solver_config_rejects_out_of_range_values(field, value):
@@ -510,6 +523,16 @@ class TestProductForm:
         # Im v ~ 2.5e-324 rounds to 0, which the Herglotz check must accept
         sol = solve_product_form(ProfileFunction(np.array([5e-324])), 2j)
         assert sol.v == 0.0 and sol.S == -1.0 / 2j
+
+    @pytest.mark.parametrize(
+        "v, bound",
+        [(-0.5j, "Im v >= 0"), (0j, "Im v > 0"), (2j, r"\|v\| <= mean\(t\)/Im z")],
+        ids=["below-the-axis", "on-the-axis", "too-large"],
+    )
+    def test_postconditions_check_the_scalar_stage(self, monkeypatch, v, bound):
+        monkeypatch.setattr(solver, "_scalar_stage", lambda *args: (v, 0.0, 1, True))
+        with pytest.raises(LsdlabError, match=bound):
+            solve_product_form(profile_from_steps([1.0], 8), 1j)
 
     def test_scalar_invariants(self):
         rng = np.random.default_rng(31)

@@ -128,6 +128,15 @@ class TestCovarianceFromVolterra:
         with pytest.raises(InvalidInput):
             VolterraCoefficients({((1, 0), (1, 0)): 1.0})
 
+    def test_default_radius_is_the_whole_reach(self):
+        # support radius 1: the two entries meet at lag (2, 0), and no lag beyond 2 has terms
+        bv = VolterraCoefficients({((-1, -1), (-1, 1)): 1.0, ((1, -1), (1, 1)): 0.5})
+        table = covariance_from_volterra(bv)
+        wider = covariance_from_volterra(bv, 4).gamma
+        assert table.radius == 2 and table.gamma[0, 2] == 0.5
+        assert np.array_equal(wider[2:-2, 2:-2], table.gamma)
+        assert np.count_nonzero(wider) == np.count_nonzero(table.gamma)
+
 
 class TestDensityFromCovariance:
     def test_white_noise(self):
@@ -289,6 +298,48 @@ class TestInvariantValidation:
             grid = density_from_filter(a, 2 * (2 * a.m) + 2)
             gamma00 = covariance_from_filter(a, 0).variance
             assert grid.mass == pytest.approx(gamma00, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FilterCoefficients(-1, np.ones((1, 1))), "support radius must be >= 0"),
+        (lambda: FilterCoefficients(1, np.ones((2, 2))), "must be 3x3"),
+        (lambda: CovarianceTable(-1, np.ones((1, 1))), "radius must be >= 0"),
+        (lambda: CovarianceTable(1, np.ones((2, 2))), "must be 3x3"),
+        (lambda: CovarianceTable(0, [[-1.0]]), r"variance gamma\[0,0\] must be nonnegative"),
+        (lambda: DensityGrid(2, np.ones((3, 3))), "must be 2x2"),
+        (lambda: DensityGrid(2, [[1.0, np.nan], [1.0, 1.0]]), "non-finite"),
+        (lambda: DensityGrid(2, np.full((2, 2), 1e308)), "mass overflows"),
+        (lambda: ProfileFunction(np.ones((2, 2))), "nonempty 1-D"),
+        (lambda: ProfileFunction([1.0, -1.0]), "nonnegative"),
+        (lambda: ProfileFunction([1e200]), "mean square overflows"),
+        (lambda: covariance_from_filter(DELTA, -1), "radius must be >= 0"),
+        (lambda: covariance_from_volterra(VolterraCoefficients({}), -1), "radius must be >= 0"),
+        (lambda: truncate_filter(TWO_TAP, -1), "truncation radius must be >= 0"),
+        (lambda: profile_from_steps([], 8), "nonempty 1-D"),
+    ],
+    ids=[
+        "filter-radius",
+        "filter-shape",
+        "covariance-radius",
+        "covariance-shape",
+        "covariance-variance",
+        "grid-shape",
+        "grid-nan",
+        "grid-mass-overflow",
+        "profile-shape",
+        "profile-negative",
+        "profile-mean-square-overflow",
+        "filter-covariance-radius",
+        "volterra-covariance-radius",
+        "truncation-radius",
+        "step-levels",
+    ],
+)
+def test_constructors_and_builders_reject_out_of_range_input(call, message):
+    with pytest.raises(InvalidInput, match=message):
+        call()
 
 
 # value type or builder: (its stored array, given the caller's array a; a factory for a)

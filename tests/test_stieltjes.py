@@ -211,11 +211,57 @@ class TestRoundTrip:
         lambda: empirical_stieltjes([0.0, np.inf], 1j),
         lambda: empirical_curve([np.nan, 0.0], [1j]),
         lambda: table_from_samples([np.nan, 0.0, 0.1], np.linspace(-1.0, 1.0, 11)),
+        lambda: StieltjesCurve([1j], [0.5j], residuals=[np.nan]),
+        lambda: DistributionTable([0.0, 1.0], [np.nan, np.nan], [np.nan, np.nan]),
+        lambda: DistributionTable([0.0, np.inf], [0.0, 0.0], [0.0, 0.0]),
+        lambda: DistributionTable([np.inf, np.inf], [0.0, 0.0], [0.0, 0.0]),
     ],
-    ids=["nan-z", "inf-S", "nan-xs-invert", "inf-xs-table", "inf-sample", "nan-sample-curve", "nan-sample-table"],
+    ids=[
+        "nan-z",
+        "inf-S",
+        "nan-xs-invert",
+        "inf-xs-table",
+        "inf-sample",
+        "nan-sample-curve",
+        "nan-sample-table",
+        "nan-residual",
+        "nan-table-values",
+        "inf-table-xs",
+        "inf-table-xs-pair",
+    ],
 )
 def test_non_finite_curves_and_grids_rejected(call):
     with pytest.raises(InvalidInput, match="finite"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: StieltjesCurve([1j, 2j], [0.5j]), "equal-length"),
+        (lambda: StieltjesCurve([1j], [-0.5j]), "Im S > 0"),
+        (lambda: StieltjesCurve([1j], [2j]), r"\|S\| <= 1/Im z"),
+        (lambda: empirical_stieltjes([], 1j), "nonempty 1-D sample"),
+        (lambda: empirical_curve([0.0], [[1j]]), "contour must be a nonempty 1-D array"),
+        (lambda: DistributionTable([0.0, 1.0], [1.0], [0.0, 1.0]), "equal-length"),
+        (lambda: DistributionTable([1.0, 0.0], [1.0, 1.0], [0.0, 1.0]), "strictly increasing"),
+        (lambda: DistributionTable([0.0, 1.0], [-1.0, 1.0], [0.0, 0.0]), "density must be nonnegative"),
+        (lambda: DistributionTable([0.0, 1.0], [4.0, 0.0], [0.0, 2.0]), "cdf exceeds 1"),
+    ],
+    ids=[
+        "curve-lengths",
+        "curve-lower-S",
+        "curve-large-S",
+        "empty-sample",
+        "contour-shape",
+        "table-lengths",
+        "table-decreasing-xs",
+        "table-negative-density",
+        "table-cdf-above-one",
+    ],
+)
+def test_value_types_reject_malformed_arrays(call, message):
+    with pytest.raises(InvalidInput, match=message):
         call()
 
 
