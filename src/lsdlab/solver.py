@@ -12,14 +12,14 @@ Herglotz bounds Im g > 0 and |g| <= 1/Im z.
 
 The iteration contracts a priori with factor B/(Im z)^2 where B is the grid
 mass of the density. Every point first runs one short stage at its target
-height; a stall restarts it on a ladder that converges at a safe height,
-where that factor is <= 1/4, then lowers Im z geometrically, warm-starting
-each stage (convergence below sqrt(B) is empirical, not certified; stage
-residuals are reported). Inner ladder stages stop at a loose residual; only
-the last stage of a point uses the tolerance. Uncertified stages accelerate
-the damped update with Anderson mixing of depth 1, accepting a mixed step
-only if it keeps Im pi >= 0; certified stages run the plain update, whose
-rate the certificate bounds.
+height; a stall restarts it on a ladder, built only then, that converges at
+a safe height, where that factor is <= 1/4, then lowers Im z geometrically,
+warm-starting each stage (convergence below sqrt(B) is empirical, not
+certified; stage residuals are reported). Inner ladder stages stop at a
+loose residual; only the last stage of a point uses the tolerance.
+Uncertified stages accelerate the damped update with Anderson mixing of
+depth 1, accepting a mixed step only if it keeps Im pi >= 0; certified
+stages run the plain update, whose rate the certificate bounds.
 
 A contour is solved as one N x P block, a single point as a one-column
 block: every point is a column with its own height, damping and tolerance,
@@ -32,6 +32,7 @@ against the full b.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -125,7 +126,8 @@ def _check_herglotz(z, g, pi):
         raise LsdlabError("solver postcondition failed: Im g > 0")
     if (np.abs(g) > slack / z.imag).any():
         raise LsdlabError("solver postcondition failed: |g| <= 1/Im z")
-    if (pi.imag < -1e-15 * (1.0 + np.abs(pi).max(axis=-1, keepdims=True))).any():
+    # the bound is negative, so the row scales matter only where some Im pi < 0
+    if (pi.imag < 0).any() and (pi.imag < -1e-15 * (1.0 + np.abs(pi).max(axis=-1, keepdims=True))).any():
         raise LsdlabError("solver postcondition failed: Im pi >= 0")
     if (np.abs(z + pi) < z.imag / slack).any():
         raise LsdlabError("solver postcondition failed: |z + pi| >= Im z")
@@ -217,24 +219,24 @@ def _no_convergence(z, stage, height, residual, iterations):
 def _attempts(im_target, mass, cfg):
     """Stages to try in turn for one point, as (height, damping, tolerance, certified, budget).
 
-    Every point plans one direct stage at its target height, within
-    min(cfg.max_iterations, _DIRECT_ITERATIONS), and retries a stall through
-    the full ladder with cfg.max_iterations per stage; every attempt starts
-    from pi = 0. A stage is certified when B/h^2 < 1, and then runs at the
-    full damping, else at half of it.
+    A generator of attempts, each a tuple of stages started from pi = 0:
+    first one direct stage at the target height, within
+    min(cfg.max_iterations, _DIRECT_ITERATIONS), then the full ladder with
+    cfg.max_iterations per stage. The ladder is built only when the caller
+    asks for it, that is when the direct stage has stalled. A stage is
+    certified when B/h^2 < 1, and then runs at the full damping, else at
+    half of it.
     """
-    plans = [[im_target], _ladder_heights(im_target, mass, cfg)]
-    budgets = [min(cfg.max_iterations, _DIRECT_ITERATIONS), cfg.max_iterations]
 
     def stage(h, tol, budget):
         certified = mass / (h * h) < 1.0
         return h, cfg.damping if certified else 0.5 * cfg.damping, tol, certified, budget
 
-    inner = max(_INNER_TOLERANCE, cfg.tolerance)
-    return tuple(
-        tuple(stage(h, inner, budget) for h in hs[:-1]) + (stage(hs[-1], cfg.tolerance, budget),)
-        for hs, budget in zip(plans, budgets)
-    )
+    yield (stage(im_target, cfg.tolerance, min(cfg.max_iterations, _DIRECT_ITERATIONS)),)
+    *inner, last = _ladder_heights(im_target, mass, cfg)
+    loose = max(_INNER_TOLERANCE, cfg.tolerance)
+    budget = cfg.max_iterations
+    yield tuple(stage(h, loose, budget) for h in inner) + (stage(last, cfg.tolerance, budget),)
 
 
 def _factor(b):
@@ -262,10 +264,14 @@ def _solve_block(b, zs, cfg, factor=None):
 
     Each iteration costs one real matrix product for all columns. A column
     runs its point's attempts from pi = 0 and leaves the block once the
-    point converges; ``factor`` = (U, W) from _factor switches every column
-    to Newton steps. Returns per point of zs its S, column-iterations over
-    all attempts, final residual, stage count and last stage's residuals,
-    then (g, pi) of the last point to converge: a one-column call's profile.
+    point converges; the points of one height share their attempts, and the
+    ladder is built when the first of them stalls in its direct stage.
+    ``factor`` = (U, W) from _factor switches every column to Newton steps,
+    and an iteration in which every column accepts its Newton point skips
+    the damped update. The Herglotz postcondition is checked once, on every
+    point. Returns per point of zs its S, column-iterations over all
+    attempts, final residual, stage count and last stage's residuals, then
+    (g, pi) of a point that converged last: a one-column call's profile.
     """
     n, mass = b.n, b.mass
     bvals = np.ascontiguousarray(b.values)
@@ -275,60 +281,85 @@ def _solve_block(b, zs, cfg, factor=None):
         r = U.shape[1]
         # row i r + j of jac is W[i, :] U[:, j], so jac @ g^2 stacks W diag(g^2) U
         jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, n)
-    plans = {h: _attempts(h, mass, cfg) for h in set(zs.imag.tolist())}  # one schedule per height
+        eye = np.eye(r)
+        # a Newton point is finite with Im >= 0 when its (re, im) parts lie in [low, big]
+        big = np.finfo(float).max
+        low = np.array([-big, 0.0])
     size = len(zs)
-    # per point: its schedule, where it is in it, and its results
-    attempts = [plans[h] for h in zs.imag.tolist()]
-    attempt = np.zeros(size, dtype=np.int64)
-    stage = np.zeros(size, dtype=np.int64)
-    count = np.zeros(size, dtype=np.int64)  # column-iterations over all attempts
-    S = np.empty(size, dtype=complex)
+    schedules = {}  # per height: the generator of its attempts, and those it has built
+
+    def attempt(h, i):
+        """Attempt i of height h, built when a point first reaches it; None past the last."""
+        if h not in schedules:
+            schedules[h] = _attempts(h, mass, cfg), []
+        more, built = schedules[h]
+        if i == len(built):
+            built.append(next(more, None))
+        return built[i]
+
+    # per point: its height, its attempt, the stages of that attempt, where it is in
+    # them, and its results
+    heights = zs.imag.tolist()
+    tried = [0] * size
+    plan = [attempt(h, 0) for h in heights]
+    stage = [0] * size
+    count = [0] * size  # column-iterations over all attempts
     history = [[] for _ in range(size)]  # residuals of the current stage, the last one final
     # per column: pi, g, F(pi), two scratch rows, and the previous step f and update G
     # of the Anderson mixing (or the Newton point); the active block is a contiguous
-    # prefix of each buffer so that g viewed as float64 is a real N x 2P matrix
+    # prefix of each buffer so that g viewed as float64 is a real N x 2P matrix. The
+    # columns that leave park their g and pi in the tails this frees in rows 1 and 2:
+    # slot j of those rows viewed as size x N holds point order[j]
     buf = np.zeros((7, n * size), dtype=complex)
-    point = np.arange(size)  # the point each column solves
-    z = np.empty(size, dtype=complex)
-    # complex weights give the same rounding as a scalar damping factor
-    damp = np.empty(size, dtype=complex)
-    rest = np.empty(size, dtype=complex)
+    order = np.empty(size, dtype=np.int64)
+    # per column, as rows of one array each so that compaction gathers them together:
+    # the point it solves, the block iterations at which its stage began and at which
+    # its budget runs out; its z and, as complex weights that round as a scalar damping
+    # factor does, d and 1 - d
+    ints = np.zeros((3, size), dtype=np.int64)
+    point, start, end = ints
+    point[:] = np.arange(size)
+    cplx = np.empty((3, size), dtype=complex)
+    z, damp, rest = cplx
     tol = np.empty(size)
-    start = np.zeros(size, dtype=np.int64)  # block iteration at which each column's stage began
-    budget = np.zeros(size, dtype=np.int64)
     mixed = np.zeros(size, dtype=bool)  # stage outside the certified region
     it = 0
 
     def start_stage(k):
         p = point[k]
-        h, d, tol[k], certified, budget[k] = attempts[p][attempt[p]][stage[p]]
+        h, d, tol[k], certified, budget = plan[p][stage[p]]
         z[k] = complex(zs[p].real, h)
         damp[k], rest[k] = d, 1.0 - d
-        start[k] = it  # also resets the column's mixing history
+        start[k], end[k] = it, it + budget  # a new start also resets the column's mixing history
         mixed[k] = not (certified or newton)
         history[p] = []
 
     for k in range(size):
         start_stage(k)
     mixing = bool(mixed.any())
-    live, active, deadline = size, 0, int(budget.min())
+    live, active, deadline = size, 0, int(end.min())
     while live:
         if active != live:
             active = live
-            pi, g, pif, w, s, fp, gp = (a[: n * active].reshape(n, active) for a in buf)
+            pi, g, pif, w, s, fp, gp = block = [a[: n * active].reshape(n, active) for a in buf]
+            # the same rows as float64 (re, im) pairs: numpy adds these, bit for bit, about
+            # twice as fast as complex arrays, and matmul takes them as real N x 2P matrices
+            pi_r, g_r, pif_r, w_r, s_r, fp_r, gp_r = (a.view(np.float64) for a in block)
             absw = buf[4].view(np.float64)[: n * active].reshape(n, active)
-            zv, dv, rv, tv, sv = z[:active], damp[:active], rest[:active], tol[:active], start[:active]
-            mv, bv = mixed[:active], budget[:active]
-        np.add(pi, zv, out=w)
+            z_r = z.view(np.float64)[: 2 * active]
+            dv, rv, tv, sv = damp[:active], rest[:active], tol[:active], start[:active]
+            mv, ev = mixed[:active], end[:active]
+            points = point[:active].tolist()
+        np.add(pi_r, z_r, out=w_r)
         np.divide(-1.0, w, out=g)
-        np.matmul(bvals, g.view(np.float64), out=pif.view(np.float64))
-        pif /= n
-        np.add(pif, zv, out=w)
+        np.matmul(bvals, g_r, out=pif_r)
+        pif_r *= 1.0 / n  # what pif /= n computes: numpy divides a complex by a real through its reciprocal
+        np.add(pif_r, z_r, out=w_r)
         np.divide(1.0, w, out=w)
         w += g
         res = np.abs(w, out=absw).max(axis=0)
         it += 1
-        for p, x in zip(point[:active].tolist(), res.tolist()):
+        for p, x in zip(points, res.tolist()):
             history[p].append(x)
         # one reduction catches converged columns and NaN residuals alike
         event = it >= deadline or not (res > tv).all()
@@ -337,85 +368,96 @@ def _solve_block(b, zs, cfg, factor=None):
             # of every column, in fp: with pi = U c and b/N = U W this is the
             # step c <- c - J^-1 (c - W g), and it carries the remainder E of b
             np.multiply(g, g, out=s)
-            jacs = np.eye(r) - (jac @ s.view(np.float64)).view(complex).T.reshape(active, r, r)
-            np.subtract(pi, pif, out=w)
+            jacs = eye - (jac @ s_r).view(complex).T.reshape(active, r, r)
+            np.subtract(pi_r, pif_r, out=w_r)
             w *= s
-            rhs = (W @ w.view(np.float64)).view(complex).T[:, :, None]
+            rhs = (W @ w_r).view(complex).T[:, :, None]
             try:
                 y = np.ascontiguousarray(np.linalg.solve(jacs, rhs)[:, :, 0].T)
             except np.linalg.LinAlgError:  # a singular J anywhere in the stack
                 y = np.full((r, active), np.nan, dtype=complex)
-            np.matmul(U, y.view(np.float64), out=fp.view(np.float64))
-            np.subtract(pif, fp, out=fp)
+            # np.dot, not matmul: at rank 1 numpy's matmul skips BLAS and took 4x as long
+            np.dot(U, y.view(np.float64), out=fp_r)
+            np.subtract(pif_r, fp_r, out=fp_r)
+            # a column whose Newton point is not finite or leaves Im pi >= 0 keeps G
+            lo, hi = (a.reshape(active, 2) for a in (fp_r.min(axis=0), fp_r.max(axis=0)))
+            take = ((lo >= low) & (hi <= big)).all(axis=1)
         elif mixing:
             # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from
             # the step f = G - pi (in w) and df = f - f_prev (in fp)
-            np.subtract(pif, pi, out=w)
+            np.subtract(pif_r, pi_r, out=w_r)
             w *= dv
-            np.subtract(w, fp, out=fp)
+            np.subtract(w_r, fp_r, out=fp_r)
             np.conjugate(fp, out=s)
             s *= w
             num = s.sum(axis=0)
-            sq = fp.view(np.float64)
-            sq *= sq
-            den = sq.sum(axis=0).reshape(active, 2).sum(axis=1)
+            fp_r *= fp_r
+            den = fp_r.sum(axis=0).reshape(active, 2).sum(axis=1)
             fp[...] = w
-        np.multiply(pi, rv, out=pi)
-        np.multiply(pif, dv, out=w)
-        pi += w
-        if newton:
-            # a column whose Newton point is not finite or leaves Im pi >= 0 keeps G
-            take = (fp.imag >= 0).all(axis=0) & np.isfinite(fp).all(axis=0)
-            np.copyto(pi, fp, where=take)
-        elif mixing:
-            # candidate G - gamma (dpi + df), where dpi + df = G - G_prev;
-            # an uncertified column with a previous step in its stage takes
-            # it if it keeps Im pi >= 0, every other column keeps G
-            np.subtract(pi, gp, out=w)
-            gp[...] = pi
-            take = mv & (it - sv >= 2) & (den > 0)
-            w *= np.divide(num, den, out=np.zeros_like(num), where=take)
-            np.subtract(pi, w, out=w)
-            take &= (w.imag >= 0).all(axis=0)
-            np.copyto(pi, w, where=take)
+        if newton and take.all():
+            np.copyto(pi, fp)  # no column keeps the damped update G, so it is not formed
+        else:
+            np.multiply(pi, rv, out=pi)
+            np.multiply(pif, dv, out=w)
+            pi_r += w_r
+            if newton:
+                np.copyto(pi, fp, where=take)
+            elif mixing:
+                # candidate G - gamma (dpi + df), where dpi + df = G - G_prev;
+                # an uncertified column with a previous step in its stage takes
+                # it if it keeps Im pi >= 0, every other column keeps G
+                np.subtract(pi_r, gp_r, out=w_r)
+                gp[...] = pi
+                take = mv & (it - sv >= 2) & (den > 0)
+                w *= np.divide(num, den, out=np.zeros_like(num), where=take)
+                np.subtract(pi_r, w_r, out=w_r)
+                take &= (w.imag >= 0).all(axis=0)
+                np.copyto(pi, w, where=take)
         if not event:
             continue
         done = res <= tv
         finished = []
-        for k in np.flatnonzero(done | (it - sv >= bv) | ~(res < np.inf)):
-            p, stage_its = point[k], it - int(sv[k])
+        for k in np.flatnonzero(done | (ev <= it) | ~(res < np.inf)).tolist():
+            p, stage_its = points[k], it - int(sv[k])
             count[p] += stage_its
-            if done[k]:
+            if done[k] and stage[p] + 1 == len(plan[p]):
+                finished.append(k)
+            elif done[k]:
                 pi[:, k] = pif[:, k]
-                if stage[p] + 1 < len(attempts[p][attempt[p]]):
-                    stage[p] += 1
-                    start_stage(k)
-                else:
-                    finished.append(k)
-            elif res[k] < np.inf and attempt[p] + 1 < len(attempts[p]):
-                attempt[p] += 1
-                stage[p] = 0
+                stage[p] += 1
+                start_stage(k)
+            elif res[k] < np.inf and (retry := attempt(heights[p], tried[p] + 1)):
+                tried[p], plan[p], stage[p] = tried[p] + 1, retry, 0
                 pi[:, k] = 0.0
                 start_stage(k)
             else:
-                raise _no_convergence(complex(zs[p]), int(stage[p]), float(z[k].imag), float(res[k]), stage_its)
+                raise _no_convergence(complex(zs[p]), stage[p], float(z[k].imag), float(res[k]), stage_its)
         if finished:
-            ps = point[finished]
-            gs, pis = g.T[finished], pif.T[finished]  # one C-ordered row per point
-            _check_herglotz(zs[ps], gs, pis)
-            S[ps] = gs.mean(axis=1)
+            live = active - len(finished)
+            # park g and pi of the leaving columns in the slots their leaving frees; the
+            # gather comes first, as those slots overlap the active block
+            order[live:active] = point[finished]
+            for row, a in ((1, g), (2, pif)):
+                buf[row, n * live : n * active] = a.T[finished].ravel()
             keep = np.delete(np.arange(active), finished)
-            live = len(keep)
-            # gather the persistent rows through the scratch buffer: no N x P temporary
-            for row, a in ((0, pi), (5, fp), (6, gp)):
+            for a in (ints, cplx):
+                a[:, :live] = a[:, keep]
+            for a in (tol, mixed):
+                a[:live] = a[keep]
+            # gather the persistent rows through the scratch row: no N x P temporary;
+            # f and G of the Anderson mixing only matter while a column mixes
+            for row in (0, 5, 6) if mixed[:live].any() else (0,):
+                a = buf[row, : n * active].reshape(n, active)
                 kept = np.take(a, keep, axis=1, out=buf[3, : n * live].reshape(n, live), mode="clip")
                 buf[row, : n * live].reshape(n, live)[...] = kept
-            for a in (point, z, damp, rest, tol, start, budget, mixed):
-                a[:live] = a[:active][keep]
         mixing = bool(mixed[:live].any())
-        deadline = int((start + budget)[:live].min(initial=it))
-    stages = [len(plan[i]) for plan, i in zip(attempts, attempt)]
-    return S, count, [trace[-1] for trace in history], stages, history, (gs[-1], pis[-1])
+        deadline = int(end[:live].min(initial=it))
+    gs, pis = buf[1].reshape(size, n), buf[2].reshape(size, n)
+    _check_herglotz(zs[order], gs, pis)
+    S = np.empty(size, dtype=complex)
+    S[order] = gs.mean(axis=1)
+    stages = [len(stages) for stages in plan]
+    return S, count, [trace[-1] for trace in history], stages, history, (gs[0], pis[0])
 
 
 def solve_profile(b, z, cfg=None):
@@ -469,15 +511,22 @@ def _scalar_stage(t, z, v, damping, tol, max_iter):
     leaves the upper half-plane is replaced by the damped step.
     """
     res, n = np.inf, len(t)
+    t = t.astype(complex)  # what numpy would cast t to in every product and quotient
+    qq = np.empty((2, n), dtype=complex)
+    q, q2 = qq
     for it in range(1, max_iter + 1):
-        q = t / (z + t * v)
-        f = complex(-(q.sum() / n))  # np.mean's rounding without its call overhead
+        np.multiply(t, v, out=q)
+        q += z
+        np.divide(t, q, out=q)
+        np.multiply(q, q, out=q2)
+        sums = np.add.reduce(qq, axis=1)  # each row summed as np.mean sums it, without its call overhead
+        f = complex(-(sums[0] / n))
         res = abs(f - v)
         if res <= tol:
             return f, res, it, True
         if not res < np.inf:
             break
-        slope = 1.0 - complex((q * q).sum() / n)
+        slope = 1.0 - complex(sums[1] / n)
         if slope != 0:  # complex division by zero raises
             newton = v - (v - f) / slope
             if newton.imag >= 0 and abs(newton) < np.inf:
@@ -509,12 +558,12 @@ def solve_product_form(t, z, cfg=None):
             break
     else:
         raise _no_convergence(z, stage, h, res, its)
-    mean_t = float(tv.mean())
+    mean_t = float(np.add.reduce(tv) / tv.size)  # np.mean's rounding without its call overhead
     if v.imag < -1e-15 * (1.0 + abs(v)):
         raise LsdlabError("scalar solver postcondition failed: Im v >= 0")
     # Im v >= mean(t) Im z / a^2, a = |z| + max(t) mean(t) / Im z: > 0 unless that underflows
-    a = abs(z) + float(tv.max()) * mean_t / z.imag
-    if mean_t / a * (z.imag / a) >= np.finfo(float).tiny and not v.imag > 0:
+    a = abs(z) + float(np.maximum.reduce(tv)) * mean_t / z.imag
+    if mean_t / a * (z.imag / a) >= sys.float_info.min and not v.imag > 0:
         raise LsdlabError("scalar solver postcondition failed: Im v > 0")
     if abs(v) > (1.0 + 1e-9) * mean_t / z.imag:
         raise LsdlabError("scalar solver postcondition failed: |v| <= mean(t)/Im z")

@@ -283,16 +283,20 @@ def covariance_from_volterra(bv, radius=None):
     radius = 2 * bv.support_radius if radius is None else radius
     if radius < 0:
         raise InvalidInput("radius must be >= 0")
-    ent = bv.entries
+    # b[u+k, v+k] is an entry only for an entry (w, w + v - u), at k = w - u, and
+    # b[v+k, u+k] only for one (w, w + u - v), at k = w - v
+    by_gap = {}
+    for (u, v), val in bv.entries.items():
+        by_gap.setdefault((v[0] - u[0], v[1] - u[1]), []).append((u, val))
     g = np.zeros((2 * radius + 1, 2 * radius + 1))
-    for k1 in range(-radius, radius + 1):
-        for k2 in range(-radius, radius + 1):
-            acc = 0.0
-            for (u, v), val in ent.items():
-                us = (u[0] + k1, u[1] + k2)
-                vs = (v[0] + k1, v[1] + k2)
-                acc += val * (ent.get((us, vs), 0.0) + ent.get((vs, us), 0.0))
-            g[radius + k1, radius + k2] = acc
+    for (u, v), val in bv.entries.items():  # each lag's nonzero terms, in entry order
+        pairs = {}
+        for side, (base, end) in enumerate(((u, v), (v, u))):
+            for w, other in by_gap.get((end[0] - base[0], end[1] - base[1]), ()):
+                pairs.setdefault((w[0] - base[0], w[1] - base[1]), [0.0, 0.0])[side] = other
+        for (k1, k2), (a, b) in pairs.items():
+            if max(abs(k1), abs(k2)) <= radius:
+                g[radius + k1, radius + k2] += val * (a + b)
     return CovarianceTable(radius, g)
 
 

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -289,13 +291,32 @@ class TestSolveCurve:
         b = full_rank_density(np.random.default_rng(41), 48, 4.0)
         assert solver._factor(b) is None
         attempts = solver._attempts
-        monkeypatch.setattr(solver, "_attempts", lambda *args: attempts(*args)[1:])  # the ladder alone
+        monkeypatch.setattr(solver, "_attempts", lambda *a: itertools.islice(attempts(*a), 1, None))  # the ladder alone
         contour = np.linspace(-3.0, 3.0, 13) + 0.1j  # below sqrt(mass) = 2
         loose = solve_curve(b, contour)
         monkeypatch.setattr(solver, "_INNER_TOLERANCE", 0.0)  # every stage to full tolerance
         full = solve_curve(b, contour)
         assert loose.iterations.sum() < full.iterations.sum()
         assert np.abs(loose.S - full.S).max() <= 10 * 1e-10
+
+    def test_a_point_that_converges_directly_builds_no_ladder(self, monkeypatch):
+        # at this factor the ladder to Im z = 0.05 at mass 3 has 43,820 stages
+        b, t = constant_density(3.0, 16), profile_from_steps([np.sqrt(3.0)], 16)
+        contour = np.linspace(-2.0, 2.0, 5) + 0.05j
+        direct = solve_curve(b, contour)
+        scalar = [solve_product_form(t, z) for z in contour]
+
+        def no_ladder(*args):
+            raise AssertionError("a ladder was built")
+
+        monkeypatch.setattr(solver, "_ladder_heights", no_ladder)
+        cfg = SolverConfig(continuation_factor=0.9999)
+        fine = solve_curve(b, contour, cfg)
+        assert np.array_equal(fine.S, direct.S)
+        assert np.array_equal(fine.iterations, direct.iterations)
+        for z, expected in zip(contour, scalar):
+            got = solve_product_form(t, z, cfg)
+            assert (got.S, got.iterations) == (expected.S, expected.iterations)
 
     def test_stalled_direct_stage_restarts_through_ladder(self, monkeypatch):
         # near the spectral edge the direct Newton stage stalls within 5 iterations
@@ -305,7 +326,7 @@ class TestSolveCurve:
         stalled = solve_curve(b, z, cfg)
         assert abs(stalled.S[0] - solve_curve(b, z).S[0]) <= 10 * 1e-10
         attempts = solver._attempts
-        monkeypatch.setattr(solver, "_attempts", lambda *args: attempts(*args)[1:])  # the ladder alone
+        monkeypatch.setattr(solver, "_attempts", lambda *a: itertools.islice(attempts(*a), 1, None))  # the ladder alone
         ladder = solve_curve(b, z, cfg)
         assert stalled.S[0] == ladder.S[0]
         assert stalled.iterations[0] == ladder.iterations[0] + cfg.max_iterations

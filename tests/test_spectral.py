@@ -138,6 +138,31 @@ class TestCovarianceFromVolterra:
         assert np.count_nonzero(wider) == np.count_nonzero(table.gamma)
 
 
+    def test_equals_the_sum_over_every_lag_and_entry(self):
+        # the definition term by term; entries on six gaps v - u, which come in
+        # opposite pairs, give lags terms from both b[u+k, v+k] and b[v+k, u+k]
+        rng = np.random.default_rng(23)
+        for _ in range(20):
+            entries = {}
+            for _ in range(12):
+                u = tuple(int(x) for x in rng.integers(-3, 4, 2))
+                v = (u[0] + int(rng.integers(-1, 2)), u[1] + int(rng.choice([-1, 1])))
+                entries[(u, v)] = float(rng.standard_normal())
+            bv = VolterraCoefficients(entries)
+            for radius in (None, 2):
+                table = covariance_from_volterra(bv, radius)
+                r = table.radius
+                expected = np.zeros((2 * r + 1, 2 * r + 1))
+                for k1 in range(-r, r + 1):
+                    for k2 in range(-r, r + 1):
+                        acc = 0.0
+                        for (u, v), val in bv.entries.items():
+                            us, vs = (u[0] + k1, u[1] + k2), (v[0] + k1, v[1] + k2)
+                            acc += val * (bv.entries.get((us, vs), 0.0) + bv.entries.get((vs, us), 0.0))
+                        expected[r + k1, r + k2] = acc
+                assert np.array_equal(table.gamma, expected)
+
+
 class TestDensityFromCovariance:
     def test_white_noise(self):
         g = np.zeros((3, 3))
