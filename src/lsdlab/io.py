@@ -7,7 +7,6 @@ float64 exactly and repeated runs are byte-identical.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import json
 import math
 import platform
@@ -248,6 +247,9 @@ def ensemble_config_from_file(path):
 
 
 def sha256_file(path):
+    # imported here: hashlib loads OpenSSL, which only a digest needs
+    import hashlib
+
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 

@@ -37,16 +37,63 @@ def test_no_arguments_exits_2_and_help_exits_0(capsys):
     assert "usage: lsdlab" in capsys.readouterr().out
 
 
-def test_module_entry_point_propagates_the_exit_code(tmp_path):
+def run_python(args, cwd):
+    """Run a fresh interpreter that imports this checkout's lsdlab."""
     src = str(Path(lsdlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
 
-    def run(*args):
-        cmd = [sys.executable, "-m", "lsdlab", *args]
-        return subprocess.run(cmd, env=env, cwd=tmp_path, capture_output=True, text=True).returncode
 
-    assert run() == 2
-    assert run("--help") == 0
+def test_module_entry_point_propagates_the_exit_code(tmp_path):
+    assert run_python(["-m", "lsdlab"], tmp_path).returncode == 2
+    assert run_python(["-m", "lsdlab", "--help"], tmp_path).returncode == 0
+
+
+def test_module_entry_point_writes_what_main_writes(tmp_path, monkeypatch):
+    write_model(tmp_path, "0 0 1.0\n1 0 1.0\n0 1 1.0\n")
+    args = ["solve", "model.txt", "--grid", "16", "--contour", "im=0.05,re=-3:3:11", "--out-dir"]
+    proc = run_python(["-m", "lsdlab", *args, "entry"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    monkeypatch.chdir(tmp_path)
+    assert main([*args, "inproc"]) == 0
+    for name in ("curve.csv", "distribution.csv", "manifest.json"):
+        assert (tmp_path / "entry" / name).read_bytes() == (tmp_path / "inproc" / name).read_bytes()
+
+
+def test_only_the_entry_point_freezes_the_collector(tmp_path):
+    # entry() freezes the collector before main(); importing lsdlab or calling
+    # main() must leave the collection of the caller's objects alone
+    write_model(tmp_path, "0 0 1.0\n")
+    code = (
+        "import gc, lsdlab; a = gc.get_freeze_count()\n"
+        "import lsdlab.cli; b = gc.get_freeze_count()\n"
+        "lsdlab.cli.main(['density', 'model.txt', '--grid', '8', '--out-dir', 'out'])\n"
+        "print(a, b, gc.get_freeze_count())\n"
+    )
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-3:] == ["0", "0", "0"]
+    assert (tmp_path / "out" / "density.csv").exists()
+
+
+def test_importing_the_cli_loads_no_openssl(tmp_path):
+    # hashlib loads OpenSSL (_hashlib); only io.sha256_file needs it
+    code = (
+        "import sys, numpy; before = '_hashlib' in sys.modules\n"
+        "import lsdlab.cli; print(before, '_hashlib' in sys.modules)\n"
+    )
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    before, after = proc.stdout.split()
+    assert after == before
+
+
+def test_sha256_file_is_the_digest_of_the_bytes(tmp_path):
+    import hashlib
+
+    path = tmp_path / "data.bin"
+    path.write_bytes(bytes(range(256)) * 3)
+    assert io.sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_contour_spec_parsing():

@@ -23,6 +23,7 @@ from lsdlab import (
 )
 from lsdlab.simulate import (
     SEED_STRIDE,
+    _ROW_BLOCK,
     _innovations,
     _patch,
     _one_replicate,
@@ -209,6 +210,19 @@ class TestSpectrum:
     def test_rejects_asymmetric_input(self, m):
         with pytest.raises(InvalidInput):
             spectrum(np.array(m))
+
+    # the check runs one row block at a time; the last, partial block counts too.
+    # (n - 1, n - 2) sits inside the last block's diagonal tile; (n - 1, 0) has
+    # its positive difference only in the last block, its negative in the first
+    @pytest.mark.parametrize("cell", [(-1, -2), (-1, 0)])
+    def test_rejects_asymmetry_in_the_last_row_block(self, cell):
+        n = 2 * _ROW_BLOCK + 5
+        m = assemble_matrix(np.random.default_rng(3).normal(size=(n, n)), "wigner")
+        spectrum(m)
+        i, j = (k % n for k in cell)
+        m[i, j] += 1e-9 * np.abs(m).max()
+        with pytest.raises(InvalidInput, match="symmetric"):
+            spectrum(m)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_input(self, bad):
