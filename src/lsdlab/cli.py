@@ -11,7 +11,6 @@ Exit codes: 0 ok, 1 threshold exceeded, 2 bad input, 3 not a density,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import gc
 import os
 import sys
@@ -21,7 +20,7 @@ import numpy as np
 
 from . import io
 from .errors import InvalidInput, LsdlabError, NoConvergence, NotADensity
-from .simulate import ensemble_esd, field_variance
+from .simulate import EnsembleConfig, ensemble_esd, field_variance
 from .solver import DEFAULT_CONFIG, solve_curve, solve_product_form
 from .spectral import (
     covariance_from_volterra,
@@ -209,7 +208,8 @@ def cmd_solve(args):
 def cmd_simulate(args):
     cfg, model_path = io.ensemble_config_from_file(args.config)
     flags = {"seed": args.seed, "replicates": args.replicates}
-    cfg = dataclasses.replace(cfg, **{k: v for k, v in flags.items() if v is not None})
+    fields = {name: getattr(cfg, name) for name in EnsembleConfig._fields}
+    cfg = EnsembleConfig(**(fields | {k: v for k, v in flags.items() if v is not None}))  # checks the flags
     contour = parse_contour_spec(args.contour) if args.contour else None
     result = ensemble_esd(cfg, contour=contour, threads=_threads())
     out_dir = Path(args.out_dir)

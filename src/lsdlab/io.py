@@ -6,7 +6,6 @@ float64 exactly and repeated runs are byte-identical.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import platform
@@ -15,10 +14,18 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidInput
-from .solver import SolverConfig
+from .solver import DEFAULT_CONFIG, SolverConfig
 from .simulate import EnsembleConfig
 from .spectral import DensityGrid, FilterCoefficients, VolterraCoefficients
 from .stieltjes import DistributionTable, StieltjesCurve
+
+try:  # the interpreter's own SHA-256; hashlib would load OpenSSL for a few digests
+    from _sha2 import sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # Python 3.10-3.11
+    except ImportError:  # a build without the built-in hashes
+        from hashlib import sha256
 
 __all__ = [
     "fmt",
@@ -123,12 +130,12 @@ def write_curve_csv(path, curve):
 
 def _write_rows(path, header, columns):
     """A header line, then one comma-separated row per index of the equal-length
-    columns: integer columns as ``str(int)``, float columns with ``fmt``."""
-    cells = []
-    for col in map(np.asarray, columns):
-        text = str if col.dtype.kind in "iu" else fmt
-        cells.append([text(v) for v in col.tolist()])
-    _write_text(path, "\n".join([header, *map(",".join, zip(*cells))]) + "\n")
+    columns: integer columns as ``str(int)``, float columns as ``fmt`` writes them,
+    each row in one ``%`` format."""
+    columns = [np.asarray(col) for col in columns]
+    row = ",".join("%d" if col.dtype.kind in "iu" else "%.17g" for col in columns)
+    rows = map(row.__mod__, zip(*[col.tolist() for col in columns]))
+    _write_text(path, "\n".join([header, *rows]) + "\n")
 
 
 def _read_rows(path, header, ncols):
@@ -203,7 +210,7 @@ def read_keyvalue(path):
 
 def solver_config_from_file(path):
     """SolverConfig from key=value text: its field names, typed like their defaults."""
-    types = {f.name: type(f.default) for f in dataclasses.fields(SolverConfig)}
+    types = {name: type(getattr(DEFAULT_CONFIG, name)) for name in SolverConfig._fields}
     kwargs = {}
     for key, value in read_keyvalue(path).items():
         if key not in types:
@@ -226,9 +233,8 @@ def ensemble_config_from_file(path):
     for key in required:
         if key not in raw:
             raise InvalidInput(f"{path}: missing required key {key!r}")
-    known = {f.name for f in dataclasses.fields(EnsembleConfig)}
     for key in raw:
-        if key not in known:
+        if key not in EnsembleConfig._fields:
             raise InvalidInput(f"{path}: unknown ensemble key {key!r}")
     model_path = Path(path).parent / raw["model"]
     _, model = read_model_file(model_path)
@@ -247,10 +253,7 @@ def ensemble_config_from_file(path):
 
 
 def sha256_file(path):
-    # imported here: hashlib loads OpenSSL, which only a digest needs
-    import hashlib
-
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return sha256(Path(path).read_bytes()).hexdigest()
 
 
 def write_manifest(path, command, config, inputs, outputs, extra=None):

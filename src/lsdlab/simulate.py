@@ -9,13 +9,12 @@ pair always yields the same patch, matrix and spectrum.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput, NoConvergenceEig
-from .spectral import FilterCoefficients, VolterraCoefficients, covariance_from_filter, covariance_from_volterra
-from .stieltjes import DistributionTable, StieltjesCurve, _sample, empirical_curve, table_from_samples
+from .spectral import FilterCoefficients, VolterraCoefficients, _Value, covariance_from_filter, covariance_from_volterra
+from .stieltjes import _sample, empirical_curve, table_from_samples
 
 __all__ = [
     "EnsembleConfig",
@@ -51,42 +50,36 @@ def replicate_seed(seed, index):
     return (int(seed) ^ ((int(index) * SEED_STRIDE) & _MASK64)) & _MASK64
 
 
-@dataclass(frozen=True)
-class EnsembleConfig:
+class EnsembleConfig(_Value):
     """One simulated ensemble: matrix order, replication, seed and field model."""
 
-    n: int
-    replicates: int
-    seed: int
-    model: object
-    symmetrization: str = "wigner"
-    innovation: str = "gaussian"
+    _fields = ("n", "replicates", "seed", "model", "symmetrization", "innovation")
 
-    def __post_init__(self):
-        if self.n < 2:
+    def __init__(self, n, replicates, seed, model, symmetrization="wigner", innovation="gaussian"):
+        if n < 2:
             raise InvalidInput("matrix order must be >= 2")
-        if self.replicates < 1:
+        if replicates < 1:
             raise InvalidInput("need at least one replicate")
-        if self.symmetrization not in SYMMETRIZATIONS:
+        if symmetrization not in SYMMETRIZATIONS:
             raise InvalidInput(f"symmetrization must be one of {SYMMETRIZATIONS}")
-        if self.innovation not in INNOVATIONS:
+        if innovation not in INNOVATIONS:
             raise InvalidInput(f"innovation must be one of {INNOVATIONS}")
-        if isinstance(self.model, VolterraCoefficients) and self.innovation != "gaussian":
+        if isinstance(model, VolterraCoefficients) and innovation != "gaussian":
             raise InvalidInput("bilinear models require gaussian innovations")
-        if not isinstance(self.model, (FilterCoefficients, VolterraCoefficients)):
+        if not isinstance(model, (FilterCoefficients, VolterraCoefficients)):
             raise InvalidInput("model must be FilterCoefficients or VolterraCoefficients")
+        self._set(n, replicates, seed, model, symmetrization, innovation)
 
 
-@dataclass(frozen=True)
-class EmpiricalSpectrum:
+class EmpiricalSpectrum(_Value):
     """Sorted eigenvalues of one simulated matrix."""
 
-    eigenvalues: np.ndarray
+    _fields = ("eigenvalues",)
 
-    def __post_init__(self):
-        e = np.sort(_sample(self.eigenvalues))
+    def __init__(self, eigenvalues):
+        e = np.sort(_sample(eigenvalues))
         e.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", e)
+        self._set(e)
 
     @property
     def n(self):
@@ -215,16 +208,13 @@ def default_contour(mass):
     return np.linspace(-half, half, 121) + 0.05j
 
 
-@dataclass(frozen=True)
-class EnsembleResult:
+class EnsembleResult(_Value):
     """Pooled ensemble outputs plus per-replicate diagnostics."""
 
-    table: DistributionTable
-    curve: StieltjesCurve
-    eigenvalues: np.ndarray
-    replicate_eigenvalues: list
-    records: list
-    outside_hypotheses: bool = False
+    _fields = ("table", "curve", "eigenvalues", "replicate_eigenvalues", "records", "outside_hypotheses")
+
+    def __init__(self, table, curve, eigenvalues, replicate_eigenvalues, records, outside_hypotheses=False):
+        self._set(table, curve, eigenvalues, replicate_eigenvalues, records, outside_hypotheses)
 
 
 def _one_replicate(cfg, index):

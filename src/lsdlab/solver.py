@@ -33,12 +33,11 @@ against the full b.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import InvalidInput, LsdlabError, NoConvergence
-from .spectral import _frozen
+from .spectral import _frozen, _Value
 from .stieltjes import StieltjesCurve, _upper_half_plane
 
 __all__ = [
@@ -56,8 +55,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(_Value):
     """Iteration budget and continuation controls.
 
     ``max_iterations`` is the budget of each ladder stage; the direct stage
@@ -66,27 +64,24 @@ class SolverConfig:
     it. ``continuation_factor`` is the geometric step for lowering Im z.
     """
 
-    tolerance: float = 1e-10
-    max_iterations: int = 10_000
-    damping: float = 1.0
-    continuation_factor: float = 0.7
+    _fields = ("tolerance", "max_iterations", "damping", "continuation_factor")
 
-    def __post_init__(self):
-        if not 0.0 < self.tolerance < np.inf:
+    def __init__(self, tolerance=1e-10, max_iterations=10_000, damping=1.0, continuation_factor=0.7):
+        if not 0.0 < tolerance < np.inf:
             raise InvalidInput("tolerance must be positive and finite")
-        if not isinstance(self.max_iterations, (int, np.integer)) or self.max_iterations < 1:
+        if not isinstance(max_iterations, (int, np.integer)) or max_iterations < 1:
             raise InvalidInput("max_iterations must be an integer >= 1")
-        if not 0.0 < self.damping <= 1.0:
+        if not 0.0 < damping <= 1.0:
             raise InvalidInput("damping must be in (0, 1]")
-        if not 0.0 < self.continuation_factor < 1.0:
+        if not 0.0 < continuation_factor < 1.0:
             raise InvalidInput("continuation_factor must be in (0, 1)")
+        self._set(tolerance, max_iterations, damping, continuation_factor)
 
 
 DEFAULT_CONFIG = SolverConfig()
 
 
-@dataclass(frozen=True)
-class ResolventProfile:
+class ResolventProfile(_Value):
     """Converged profile g(., z) with its self-energy, transform and diagnostics.
 
     ``pi`` is recomputed from the returned g (pi = (1/N) b g), and
@@ -95,24 +90,14 @@ class ResolventProfile:
     trace of the final continuation stage.
     """
 
-    z: complex
-    g: np.ndarray
-    pi: np.ndarray
-    S: complex = field(init=False)
-    iterations: int = 0
-    residual: float = 0.0
-    residual_history: np.ndarray = None
-    stages: int = 1
+    _fields = ("z", "g", "pi", "S", "iterations", "residual", "residual_history", "stages")
 
-    def __post_init__(self):
-        g = _frozen(self.g, complex)
-        pi = _frozen(self.pi, complex)
-        _check_herglotz(self.z, g, pi)
-        hist = [self.residual] if self.residual_history is None else self.residual_history
-        object.__setattr__(self, "g", g)
-        object.__setattr__(self, "pi", pi)
-        object.__setattr__(self, "S", complex(g.mean()))
-        object.__setattr__(self, "residual_history", _frozen(hist))
+    def __init__(self, z, g, pi, iterations=0, residual=0.0, residual_history=None, stages=1):
+        g = _frozen(g, complex)
+        pi = _frozen(pi, complex)
+        _check_herglotz(z, g, pi)
+        hist = _frozen([residual] if residual_history is None else residual_history)
+        self._set(z, g, pi, complex(g.mean()), iterations, residual, hist, stages)
 
 
 def _check_herglotz(z, g, pi):
@@ -133,19 +118,17 @@ def _check_herglotz(z, g, pi):
         raise LsdlabError("solver postcondition failed: |z + pi| >= Im z")
 
 
-@dataclass(frozen=True)
-class ScalarSolution:
+class ScalarSolution(_Value):
     """Solution of the rank-one (product-profile) reduction at one point.
 
     v solves v = -(1/N) sum_j t[j]/(z + t[j] v); the transform follows as
     S = -(1 + v^2)/z, which holds exactly at the discrete fixed point.
     """
 
-    z: complex
-    v: complex
-    S: complex
-    iterations: int = 0
-    residual: float = 0.0
+    _fields = ("z", "v", "S", "iterations", "residual")
+
+    def __init__(self, z, v, S, iterations=0, residual=0.0):
+        self._set(z, v, S, iterations, residual)
 
 
 def semicircle_transform(sigma2, z):

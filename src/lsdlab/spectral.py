@@ -11,8 +11,6 @@ sparse second-order (bilinear) expansions, and rank-one product profiles.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import InvalidInput, NotADensity
@@ -45,13 +43,43 @@ def _frozen(a, dtype=float):
     return a
 
 
+class _Value:
+    """Base of the frozen value types. ``_fields`` names the attributes in
+    order; ``__init__`` sets them once with ``_set``, repr, ``==`` and
+    ``hash`` go over their values, and assigning or deleting one raises
+    ``dataclasses.FrozenInstanceError``."""
+
+    def _set(self, *values):
+        self.__dict__.update(zip(self._fields, values, strict=True))
+
+    def _values(self):
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self):
+        return f"{type(self).__qualname__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self._fields)})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value=None):
+        from dataclasses import FrozenInstanceError  # imported here: only a misuse needs it
+
+        raise FrozenInstanceError(f"field {name!r} is read-only")
+
+    __delattr__ = __setattr__
+
+
 def midpoints(n):
     """Grid nodes (i + 1/2)/n on [0, 1]."""
     return (np.arange(n) + 0.5) / n
 
 
-@dataclass(frozen=True)
-class FilterCoefficients:
+class FilterCoefficients(_Value):
     """Moving-average coefficients on the square [-m, m]^2.
 
     ``coeffs[u + m, v + m]`` multiplies the innovation at lag (u, v).
@@ -59,21 +87,18 @@ class FilterCoefficients:
     variance equals ``sum_squares``.
     """
 
-    m: int
-    coeffs: np.ndarray
-    sum_squares: float = field(init=False)
+    _fields = ("m", "coeffs", "sum_squares")
 
-    def __post_init__(self):
-        if self.m < 0:
+    def __init__(self, m, coeffs):
+        if m < 0:
             raise InvalidInput("support radius must be >= 0")
-        c = _frozen(self.coeffs)
-        side = 2 * self.m + 1
+        c = _frozen(coeffs)
+        side = 2 * m + 1
         if c.shape != (side, side):
             raise InvalidInput(f"coefficient table must be {side}x{side}, got {c.shape}")
         if not np.isfinite(c).all():
             raise InvalidInput("filter coefficients have non-finite values")
-        object.__setattr__(self, "coeffs", c)
-        object.__setattr__(self, "sum_squares", float(np.sum(c * c)))
+        self._set(m, c, float(np.sum(c * c)))
 
     @classmethod
     def from_entries(cls, entries):
@@ -95,8 +120,7 @@ class FilterCoefficients:
         return cls(m, c)
 
 
-@dataclass(frozen=True)
-class VolterraCoefficients:
+class VolterraCoefficients(_Value):
     """Sparse bilinear expansion coefficients b[(u1,u2),(v1,v2)].
 
     Innovations are gaussian with unit variance by convention. Diagonal pairs
@@ -104,11 +128,11 @@ class VolterraCoefficients:
     fourth-moment contribution, and the covariance has a closed form.
     """
 
-    entries: dict
+    _fields = ("entries",)
 
-    def __post_init__(self):
+    def __init__(self, entries):
         cleaned = {}
-        for (u, v), val in self.entries.items():
+        for (u, v), val in entries.items():
             u = (int(u[0]), int(u[1]))
             v = (int(v[0]), int(v[1]))
             val = float(val)
@@ -119,7 +143,7 @@ class VolterraCoefficients:
             if u == v:
                 raise InvalidInput(f"diagonal entry b[{u},{v}] must be zero")
             cleaned[(u, v)] = val
-        object.__setattr__(self, "entries", cleaned)
+        self._set(cleaned)
 
     @property
     def support_radius(self):
@@ -129,34 +153,32 @@ class VolterraCoefficients:
         return r
 
 
-@dataclass(frozen=True)
-class CovarianceTable:
+class CovarianceTable(_Value):
     """Covariances gamma[k, l] of a stationary field on [-R, R]^2.
 
     Stored dense with gamma[k, l] at index [k + R, l + R]; the variance is
     the central entry.
     """
 
-    radius: int
-    gamma: np.ndarray
+    _fields = ("radius", "gamma")
 
-    def __post_init__(self):
-        if self.radius < 0:
+    def __init__(self, radius, gamma):
+        if radius < 0:
             raise InvalidInput("radius must be >= 0")
-        g = _frozen(self.gamma)
-        side = 2 * self.radius + 1
+        g = _frozen(gamma)
+        side = 2 * radius + 1
         if g.shape != (side, side):
             raise InvalidInput(f"covariance table must be {side}x{side}, got {g.shape}")
         if not np.isfinite(g).all():
             raise InvalidInput("covariance table has non-finite values")
-        scale = 1.0 + abs(float(g[self.radius, self.radius]))
+        scale = 1.0 + abs(float(g[radius, radius]))
         if not np.allclose(g, g[::-1, ::-1], atol=1e-10 * scale, rtol=0.0):
             raise InvalidInput("covariance table violates gamma[k,l] == gamma[-k,-l]")
-        if g[self.radius, self.radius] < 0:
+        if g[radius, radius] < 0:
             raise InvalidInput("variance gamma[0,0] must be nonnegative")
-        if np.abs(g).max() > g[self.radius, self.radius] * (1.0 + 1e-12) + 1e-15:
+        if np.abs(g).max() > g[radius, radius] * (1.0 + 1e-12) + 1e-15:
             raise InvalidInput("covariance table violates |gamma[k,l]| <= gamma[0,0]")
-        object.__setattr__(self, "gamma", g)
+        self._set(radius, g)
 
     @property
     def variance(self):
@@ -168,22 +190,19 @@ class CovarianceTable:
         return bool(np.allclose(g, g.T, atol=1e-10 * (1.0 + abs(self.variance)), rtol=0.0))
 
 
-@dataclass(frozen=True)
-class DensityGrid:
+class DensityGrid(_Value):
     """Scaled spectral density sampled at grid midpoints, with its mass.
 
     values[i, j] is the density at ((i+1/2)/n, (j+1/2)/n); ``mass`` is the
     midpoint-quadrature integral, i.e. the grid mean.
     """
 
-    n: int
-    values: np.ndarray
-    mass: float = field(init=False)
+    _fields = ("n", "values", "mass")
 
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if self.n < 1 or v.shape != (self.n, self.n):
-            raise InvalidInput(f"density grid must be {self.n}x{self.n}, got {v.shape}")
+    def __init__(self, n, values):
+        v = np.asarray(values, dtype=float)
+        if n < 1 or v.shape != (n, n):
+            raise InvalidInput(f"density grid must be {n}x{n}, got {v.shape}")
         if not np.isfinite(v).all():
             raise InvalidInput("density grid has non-finite values")
         scale = max(1.0, float(np.abs(v).max()) if v.size else 1.0)
@@ -195,26 +214,23 @@ class DensityGrid:
             mass = float(v.mean())
         if not mass < np.inf:  # the solver's ladder would start at an infinite height
             raise InvalidInput("density grid mass overflows")
-        object.__setattr__(self, "values", v)
-        object.__setattr__(self, "mass", mass)
+        self._set(n, v, mass)
 
     def is_symmetric(self):
         """True when values[i, j] == values[j, i] to an absolute 1e-10."""
         return bool(np.abs(self.values - self.values.T).max() <= 1e-10)
 
 
-@dataclass(frozen=True)
-class ProfileFunction:
+class ProfileFunction(_Value):
     """Nonnegative 1-D profile t(x) at grid midpoints; rank-one densities are t(x)t(y).
 
     ``mean_square`` is the mean of t^2, which bounds the mass of t(x)t(y).
     """
 
-    values: np.ndarray
-    mean_square: float = field(init=False)
+    _fields = ("values", "mean_square")
 
-    def __post_init__(self):
-        t = _frozen(self.values)
+    def __init__(self, values):
+        t = _frozen(values)
         if t.ndim != 1 or t.size < 1:
             raise InvalidInput("profile must be a nonempty 1-D array")
         if not np.isfinite(t).all():
@@ -225,8 +241,7 @@ class ProfileFunction:
             mean_square = float(np.mean(t * t))
         if not mean_square < np.inf:  # the solver's ladder would start at an infinite height
             raise InvalidInput("profile mean square overflows")
-        object.__setattr__(self, "values", t)
-        object.__setattr__(self, "mean_square", mean_square)
+        self._set(t, mean_square)
 
     @property
     def n(self):

@@ -9,12 +9,11 @@ mollified-vs-mollified at a common eps, so the smoothing bias cancels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidInput
-from .spectral import _frozen
+from .spectral import _frozen, _Value
 
 __all__ = [
     "StieltjesCurve",
@@ -45,25 +44,21 @@ def _upper_half_plane(z):
     return z
 
 
-@dataclass(frozen=True)
-class StieltjesCurve:
+class StieltjesCurve(_Value):
     """S(z) sampled at points of the upper half-plane.
 
     ``iterations`` and ``residuals`` carry solver diagnostics per point and
     default to zero, as for empirical or closed-form curves.
     """
 
-    z: np.ndarray
-    S: np.ndarray
-    iterations: np.ndarray = None
-    residuals: np.ndarray = None
+    _fields = ("z", "S", "iterations", "residuals")
 
-    def __post_init__(self):
-        z = _frozen(self.z, complex)
-        s = _frozen(self.S, complex)
+    def __init__(self, z, S, iterations=None, residuals=None):
+        z = _frozen(z, complex)
+        s = _frozen(S, complex)
         zeros = np.zeros(z.shape)
-        it = _frozen(zeros if self.iterations is None else self.iterations, np.int64)
-        res = _frozen(zeros if self.residuals is None else self.residuals)
+        it = _frozen(zeros if iterations is None else iterations, np.int64)
+        res = _frozen(zeros if residuals is None else residuals)
         if not (z.shape == s.shape == it.shape == res.shape) or z.ndim != 1 or z.size == 0:
             raise InvalidInput("curve arrays must be equal-length nonempty 1-D arrays")
         _upper_half_plane(z)
@@ -73,10 +68,7 @@ class StieltjesCurve:
             raise InvalidInput("curve values must have Im S > 0")
         if (np.abs(s) > (1.0 + 1e-9) / z.imag).any():
             raise InvalidInput("curve violates |S| <= 1/Im z")
-        object.__setattr__(self, "z", z)
-        object.__setattr__(self, "S", s)
-        object.__setattr__(self, "iterations", it)
-        object.__setattr__(self, "residuals", res)
+        self._set(z, s, it, res)
 
     def __len__(self):
         return self.z.size
@@ -110,8 +102,7 @@ def empirical_curve(eigs, contour):
     return StieltjesCurve(zs, s)
 
 
-@dataclass(frozen=True)
-class DistributionTable:
+class DistributionTable(_Value):
     """Density and CDF on a sorted grid, trapezoid-consistent by construction.
 
     ``uncaptured``, 1 - cdf[-1], is the probability mass outside the grid
@@ -119,14 +110,12 @@ class DistributionTable:
     range, ...). It is reported, never silently folded back in.
     """
 
-    xs: np.ndarray
-    density: np.ndarray
-    cdf: np.ndarray
+    _fields = ("xs", "density", "cdf")
 
-    def __post_init__(self):
-        xs = _frozen(self.xs)
-        den = _frozen(self.density)
-        cdf = _frozen(self.cdf)
+    def __init__(self, xs, density, cdf):
+        xs = _frozen(xs)
+        den = _frozen(density)
+        cdf = _frozen(cdf)
         _check_grid(xs)
         if not xs.shape == den.shape == cdf.shape:
             raise InvalidInput("table arrays must be equal-length")
@@ -141,9 +130,7 @@ class DistributionTable:
         segs = 0.5 * (den[1:] + den[:-1]) * np.diff(xs)
         if np.abs(segs - np.diff(cdf)).max() > 1e-8:
             raise InvalidInput("cdf increments disagree with trapezoid integral of density")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "density", den)
-        object.__setattr__(self, "cdf", cdf)
+        self._set(xs, den, cdf)
 
     @property
     def uncaptured(self):

@@ -88,6 +88,32 @@ def test_importing_the_cli_loads_no_openssl(tmp_path):
     assert after == before
 
 
+def test_solve_takes_its_manifest_digests_without_openssl(tmp_path):
+    # hashlib loads OpenSSL (_hashlib); sha256_file uses the interpreter's own SHA-256
+    write_model(tmp_path, "0 0 1.0\n")
+    code = (
+        "import sys; from lsdlab.cli import main\n"
+        "code = main(['solve', 'model.txt', '--grid', '16', '--contour', 'im=0.05,re=-3:3:11', '--out-dir', 'out'])\n"
+        "print(code, '_hashlib' in sys.modules)\n"
+    )
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-2:] == ["0", "False"]
+    assert json.loads((tmp_path / "out" / "manifest.json").read_text())["outputs"]
+
+
+def test_importing_lsdlab_processes_no_dataclass(tmp_path):
+    # the value types define their methods in source: importing runs no code generation
+    code = (
+        "import dataclasses; made = []; process = dataclasses._process_class\n"
+        "dataclasses._process_class = lambda cls, *a, **k: made.append(cls.__module__) or process(cls, *a, **k)\n"
+        "import lsdlab.cli; print([m for m in made if m.startswith('lsdlab')])\n"
+    )
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split()[-1] == "[]"
+
+
 def test_sha256_file_is_the_digest_of_the_bytes(tmp_path):
     import hashlib
 

@@ -1,4 +1,4 @@
-import dataclasses
+import inspect
 import json
 from pathlib import Path
 
@@ -179,6 +179,13 @@ def test_float_format_round_trips_float64():
         assert float(io.fmt(v)) == v
 
 
+def test_csv_float_columns_are_written_as_fmt_writes_them(tmp_path):
+    values = np.array([1 / 3, -0.0, 1e-300, 5e-324, 1e300, 2.0**53 + 2, 0.1, -7.0])
+    path = tmp_path / "eigs.csv"
+    io.write_eigenvalues_csv(path, [values])
+    assert [line.split(",")[1] for line in path.read_text().splitlines()[1:]] == [io.fmt(v) for v in values]
+
+
 def test_keyvalue_parsing(tmp_path):
     path = tmp_path / "cfg.txt"
     path.write_text("# solver settings\ntolerance = 1e-9\nmax_iterations=500\n")
@@ -197,7 +204,8 @@ def test_readme_lists_the_solver_config_fields_and_defaults():
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     table = text.split("Solver configs use the same format.")[1].split("\n\n")[1]
     rows = [[cell.strip().strip("`") for cell in line.split("|")[1:3]] for line in table.splitlines()[2:]]
-    fields = dataclasses.fields(SolverConfig)
+    # the names in SolverConfig._fields, each with its default in __init__
+    fields = [inspect.signature(SolverConfig).parameters[name] for name in SolverConfig._fields]
     assert [key for key, _ in rows] == [f.name for f in fields]
     assert all(type(f.default)(default) == f.default for f, (_, default) in zip(fields, rows))
 

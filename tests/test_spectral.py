@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import numpy as np
 import pytest
 
@@ -12,6 +16,8 @@ from lsdlab import (
     NotADensity,
     ProfileFunction,
     ResolventProfile,
+    ScalarSolution,
+    SolverConfig,
     StieltjesCurve,
     VolterraCoefficients,
     covariance_from_filter,
@@ -393,3 +399,89 @@ def test_values_own_frozen_copies_of_caller_arrays(name):
     assert a.flags.writeable
     assert not stored.flags.writeable
     assert not np.shares_memory(stored, a)
+
+
+# every value type: (a factory for an instance, its fields in order)
+VALUES = {
+    "FilterCoefficients": (lambda: FilterCoefficients(1, np.ones((3, 3))), ("m", "coeffs", "sum_squares")),
+    "VolterraCoefficients": (lambda: VolterraCoefficients({((0, 0), (1, 0)): 1.0}), ("entries",)),
+    "CovarianceTable": (lambda: CovarianceTable(1, np.diag([0.0, 1.0, 0.0])), ("radius", "gamma")),
+    "DensityGrid": (lambda: DensityGrid(2, np.ones((2, 2))), ("n", "values", "mass")),
+    "ProfileFunction": (lambda: ProfileFunction(np.ones(4)), ("values", "mean_square")),
+    "SolverConfig": (lambda: SolverConfig(tolerance=1e-8), ("tolerance", "max_iterations", "damping", "continuation_factor")),
+    "ResolventProfile": (
+        lambda: ResolventProfile(z=1j, g=np.full(4, 0.5j), pi=np.full(4, 0.5j), iterations=3, residual=1e-12),
+        ("z", "g", "pi", "S", "iterations", "residual", "residual_history", "stages"),
+    ),
+    "ScalarSolution": (lambda: ScalarSolution(1j, 0.5j, 0.25j, 2, 1e-12), ("z", "v", "S", "iterations", "residual")),
+    "EnsembleConfig": (
+        lambda: EnsembleConfig(n=8, replicates=2, seed=1, model=DELTA),
+        ("n", "replicates", "seed", "model", "symmetrization", "innovation"),
+    ),
+    "EmpiricalSpectrum": (lambda: EmpiricalSpectrum([1.0, -1.0]), ("eigenvalues",)),
+    "EnsembleResult": (
+        lambda: ensemble_esd(EnsembleConfig(n=8, replicates=1, seed=1, model=DELTA), contour=[1j, 2j]),
+        ("table", "curve", "eigenvalues", "replicate_eigenvalues", "records", "outside_hypotheses"),
+    ),
+    "StieltjesCurve": (lambda: StieltjesCurve([1j, 2j], [0.5j, 0.25j]), ("z", "S", "iterations", "residuals")),
+    "DistributionTable": (lambda: DistributionTable([0.0, 1.0], [1.0, 1.0], [0.0, 1.0]), ("xs", "density", "cdf")),
+}
+
+
+def _same(a, b):
+    """Equal values of the same types, arrays compared element by element."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, (list, tuple)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if hasattr(a, "__dict__"):
+        return _same(vars(a), vars(b))
+    return a == b
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_value_fields_can_not_be_assigned_or_deleted(name):
+    make, fields = VALUES[name]
+    value = make()
+    for field in (*fields, "unknown"):
+        with pytest.raises(FrozenInstanceError):
+            setattr(value, field, None)
+        with pytest.raises(FrozenInstanceError):
+            delattr(value, field)
+    assert all(hasattr(value, field) for field in fields)
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+def test_value_repr_names_every_field_in_order(name):
+    make, fields = VALUES[name]
+    text = repr(make())
+    assert text.startswith(f"{name}({fields[0]}=")
+    positions = [text.index(f", {field}=") for field in fields[1:]]
+    assert positions == sorted(positions)
+
+
+@pytest.mark.parametrize("name", list(VALUES))
+@pytest.mark.parametrize("clone", [copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))], ids=["deepcopy", "pickle"])
+def test_value_copies_keep_every_field(name, clone):
+    make, fields = VALUES[name]
+    value = make()
+    copied = clone(value)
+    assert type(copied) is type(value)
+    for field in fields:
+        assert _same(getattr(copied, field), getattr(value, field)), field
+
+
+def test_configs_keep_their_equality_and_hash():
+    cfg = SolverConfig(tolerance=1e-8)
+    assert cfg == SolverConfig(tolerance=1e-8) and hash(cfg) == hash(SolverConfig(tolerance=1e-8))
+    assert cfg != SolverConfig() and cfg != (1e-8, 10_000, 1.0, 0.7)
+    assert hash(SolverConfig()) == hash((1e-10, 10_000, 1.0, 0.7))
+    ens = EnsembleConfig(n=8, replicates=2, seed=1, model=DELTA)
+    assert ens == EnsembleConfig(n=8, replicates=2, seed=1, model=DELTA)
+    assert ens != EnsembleConfig(n=8, replicates=2, seed=2, model=DELTA)
+    with pytest.raises(TypeError):  # its model holds an array
+        hash(ens)
