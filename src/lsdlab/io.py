@@ -72,8 +72,7 @@ def read_model_file(path):
     """Parse a coefficient table: ``u v a`` rows (filter) or ``u1 u2 v1 v2 b``
     rows (bilinear). Lines starting with '#' are comments. Returns
     (kind, model) with kind in {"filter", "volterra"}."""
-    filt = []
-    volt = {}
+    entries = {}
     ncols = None
     for lineno, line in _data_lines(path):
         tokens = line.split()
@@ -88,18 +87,15 @@ def read_model_file(path):
             val = float(tokens[-1])
         except ValueError as exc:
             raise InvalidInput(f"{path}:{lineno}: {exc}") from exc
-        if ncols == 3:
-            filt.append((idx[0], idx[1], val))
-        else:
-            key = ((idx[0], idx[1]), (idx[2], idx[3]))
-            if key in volt:
-                raise InvalidInput(f"{path}:{lineno}: duplicate entry {key}")
-            volt[key] = val
+        key = tuple(idx) if ncols == 3 else (tuple(idx[:2]), tuple(idx[2:]))
+        if key in entries:
+            raise InvalidInput(f"{path}:{lineno}: duplicate entry {key}")
+        entries[key] = val
     if ncols is None:
         raise InvalidInput(f"{path}: no coefficient rows found")
     if ncols == 3:
-        return "filter", FilterCoefficients.from_entries(filt)
-    return "volterra", VolterraCoefficients(volt)
+        return "filter", FilterCoefficients.from_entries(entries)
+    return "volterra", VolterraCoefficients(entries)
 
 
 def write_density_csv(path, grid):

@@ -56,26 +56,21 @@ __all__ = [
 
 
 class SolverConfig(_Value):
-    """Iteration budget and continuation controls.
+    """Residual target and iteration budget.
 
     ``max_iterations`` is the budget of each ladder stage; the direct stage
-    at the target height is capped at 50. ``damping`` applies inside the
-    certified region (contraction factor < 1); stages below it use half of
-    it. ``continuation_factor`` is the geometric step for lowering Im z.
+    at the target height is capped at 50. The stage damping and the ladder
+    step are the solver's own (see _attempts).
     """
 
-    _fields = ("tolerance", "max_iterations", "damping", "continuation_factor")
+    _fields = ("tolerance", "max_iterations")
 
-    def __init__(self, tolerance=1e-10, max_iterations=10_000, damping=1.0, continuation_factor=0.7):
+    def __init__(self, tolerance=1e-10, max_iterations=10_000):
         if not 0.0 < tolerance < np.inf:
             raise InvalidInput("tolerance must be positive and finite")
         if not isinstance(max_iterations, (int, np.integer)) or max_iterations < 1:
             raise InvalidInput("max_iterations must be an integer >= 1")
-        if not 0.0 < damping <= 1.0:
-            raise InvalidInput("damping must be in (0, 1]")
-        if not 0.0 < continuation_factor < 1.0:
-            raise InvalidInput("continuation_factor must be in (0, 1)")
-        self._set(tolerance, max_iterations, damping, continuation_factor)
+        self._set(tolerance, max_iterations)
 
 
 DEFAULT_CONFIG = SolverConfig()
@@ -169,10 +164,14 @@ def continuity_bound(b1, b2, z):
     return float(z.imag * l1 / ((z.imag**2 - bmax) * z.imag**2))
 
 
-def _ladder_heights(im_target, mass, cfg):
+# Geometric step by which the ladder lowers Im z.
+_CONTINUATION_FACTOR = 0.7
+
+
+def _ladder_heights(im_target, mass):
     heights = [max(im_target, 2.0 * np.sqrt(mass + 1.0))]
-    while heights[-1] * cfg.continuation_factor > im_target:
-        heights.append(heights[-1] * cfg.continuation_factor)
+    while heights[-1] * _CONTINUATION_FACTOR > im_target:
+        heights.append(heights[-1] * _CONTINUATION_FACTOR)
     if heights[-1] > im_target:
         heights.append(im_target)
     return heights
@@ -207,16 +206,16 @@ def _attempts(im_target, mass, cfg):
     min(cfg.max_iterations, _DIRECT_ITERATIONS), then the full ladder with
     cfg.max_iterations per stage. The ladder is built only when the caller
     asks for it, that is when the direct stage has stalled. A stage is
-    certified when B/h^2 < 1, and then runs at the full damping, else at
-    half of it.
+    certified when B/h^2 < 1, and then takes the full update (damping 1),
+    else half of it (damping 1/2).
     """
 
     def stage(h, tol, budget):
         certified = mass / (h * h) < 1.0
-        return h, cfg.damping if certified else 0.5 * cfg.damping, tol, certified, budget
+        return h, 1.0 if certified else 0.5, tol, certified, budget
 
     yield (stage(im_target, cfg.tolerance, min(cfg.max_iterations, _DIRECT_ITERATIONS)),)
-    *inner, last = _ladder_heights(im_target, mass, cfg)
+    *inner, last = _ladder_heights(im_target, mass)
     loose = max(_INNER_TOLERANCE, cfg.tolerance)
     budget = cfg.max_iterations
     yield tuple(stage(h, loose, budget) for h in inner) + (stage(last, cfg.tolerance, budget),)

@@ -46,7 +46,8 @@ def _frozen(a, dtype=float):
 class _Value:
     """Base of the frozen value types. ``_fields`` names the attributes in
     order; ``__init__`` sets them once with ``_set``, repr, ``==`` and
-    ``hash`` go over their values, and assigning or deleting one raises
+    ``hash`` go over their values (``==`` compares arrays element by element,
+    with their dtype and shape), and assigning or deleting one raises
     ``dataclasses.FrozenInstanceError``."""
 
     def _set(self, *values):
@@ -61,7 +62,7 @@ class _Value:
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return all(map(_same, self._values(), other._values()))
 
     def __hash__(self):
         return hash(self._values())
@@ -72,6 +73,15 @@ class _Value:
         raise FrozenInstanceError(f"field {name!r} is read-only")
 
     __delattr__ = __setattr__
+
+
+def _same(a, b):
+    """a == b as one bool: arrays, and lists of them, element by element."""
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return type(a) is type(b) and a.dtype == b.dtype and np.array_equal(a, b)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_same, a, b))
+    return a == b
 
 
 def midpoints(n):
@@ -102,20 +112,12 @@ class FilterCoefficients(_Value):
 
     @classmethod
     def from_entries(cls, entries):
-        """Build from sparse form: {(u, v): a} or an iterable of (u, v, a)."""
-        if hasattr(entries, "items"):
-            items = [(u, v, a) for (u, v), a in entries.items()]
-        else:
-            items = [(int(u), int(v), float(a)) for u, v, a in entries]
-        if not items:
+        """Build from sparse form {(u, v): a}."""
+        if not entries:
             return cls(0, np.zeros((1, 1)))
-        m = max(max(abs(u), abs(v)) for u, v, _ in items)
+        m = max(max(abs(u), abs(v)) for u, v in entries)
         c = np.zeros((2 * m + 1, 2 * m + 1))
-        seen = set()
-        for u, v, a in items:
-            if (u, v) in seen:
-                raise InvalidInput(f"duplicate filter entry at ({u}, {v})")
-            seen.add((u, v))
+        for (u, v), a in entries.items():
             c[u + m, v + m] = a
         return cls(m, c)
 

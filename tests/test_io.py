@@ -126,6 +126,7 @@ def test_csv_readers_reject_non_finite_values(tmp_path, reader, text, lineno):
     "reader, text, message",
     [
         (io.read_model_file, "0 0 1 0 1\n0 0 1 0 2\n", "data.txt:2: duplicate entry"),
+        (io.read_model_file, "0 0 1\n1 0 1\n0 0 2\n", r"data.txt:3: duplicate entry \(0, 0\)"),
         (io.read_model_file, "# no rows\n", "no coefficient rows"),
         (io.read_density_csv, "two\n1,1\n1,1\n", "first line must be the grid size"),
         (io.read_density_csv, "2\n1,1\n", "expected 2 rows after the header"),
@@ -139,6 +140,7 @@ def test_csv_readers_reject_non_finite_values(tmp_path, reader, text, lineno):
     ],
     ids=[
         "model-duplicate",
+        "model-filter-duplicate",
         "model-empty",
         "density-size",
         "density-short",
@@ -194,9 +196,9 @@ def test_keyvalue_parsing(tmp_path):
 
 def test_solver_config_from_file(tmp_path):
     path = tmp_path / "solver.txt"
-    path.write_text("tolerance=1e-8\ndamping=0.9\n")
+    path.write_text("tolerance=1e-8\nmax_iterations=500\n")
     cfg = io.solver_config_from_file(path)
-    assert cfg == SolverConfig(tolerance=1e-8, damping=0.9)
+    assert cfg == SolverConfig(tolerance=1e-8, max_iterations=500)
 
 
 def test_readme_lists_the_solver_config_fields_and_defaults():

@@ -154,7 +154,7 @@ class TestSolveProfile:
 class TestContraction:
     def test_ladder_starts_where_the_certificate_is_below_a_quarter(self):
         for target, mass in ((0.05, 3.0), (0.05, 0.0), (10.0, 3.0)):
-            heights = solver._ladder_heights(target, mass, SolverConfig())
+            heights = solver._ladder_heights(target, mass)
             assert heights[0] == max(target, 2.0 * np.sqrt(mass + 1.0))
             assert mass / heights[0] ** 2 < 0.25 and heights[-1] == target
 
@@ -310,12 +310,12 @@ class TestSolveCurve:
             raise AssertionError("a ladder was built")
 
         monkeypatch.setattr(solver, "_ladder_heights", no_ladder)
-        cfg = SolverConfig(continuation_factor=0.9999)
-        fine = solve_curve(b, contour, cfg)
+        monkeypatch.setattr(solver, "_CONTINUATION_FACTOR", 0.9999)
+        fine = solve_curve(b, contour)
         assert np.array_equal(fine.S, direct.S)
         assert np.array_equal(fine.iterations, direct.iterations)
         for z, expected in zip(contour, scalar):
-            got = solve_product_form(t, z, cfg)
+            got = solve_product_form(t, z)
             assert (got.S, got.iterations) == (expected.S, expected.iterations)
 
     def test_stalled_direct_stage_restarts_through_ladder(self, monkeypatch):
@@ -425,9 +425,6 @@ class TestSolveCurve:
         ("tolerance", 0.0),
         ("max_iterations", 0),
         ("max_iterations", np.inf),
-        ("damping", 0.0),
-        ("damping", 1.5),
-        ("continuation_factor", 1.0),
         ("tolerance", np.inf),
     ],
 )

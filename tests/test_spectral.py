@@ -318,10 +318,6 @@ class TestInvariantValidation:
         a = random_filter(rng)
         assert a.sum_squares == pytest.approx(float(np.sum(a.coeffs**2)), rel=1e-12)
 
-    def test_filter_duplicate_entry_rejected(self):
-        with pytest.raises(InvalidInput):
-            FilterCoefficients.from_entries([(0, 0, 1.0), (0, 0, 2.0)])
-
     def test_mass_identity_with_field_variance(self):
         rng = np.random.default_rng(41)
         for _ in range(5):
@@ -408,7 +404,7 @@ VALUES = {
     "CovarianceTable": (lambda: CovarianceTable(1, np.diag([0.0, 1.0, 0.0])), ("radius", "gamma")),
     "DensityGrid": (lambda: DensityGrid(2, np.ones((2, 2))), ("n", "values", "mass")),
     "ProfileFunction": (lambda: ProfileFunction(np.ones(4)), ("values", "mean_square")),
-    "SolverConfig": (lambda: SolverConfig(tolerance=1e-8), ("tolerance", "max_iterations", "damping", "continuation_factor")),
+    "SolverConfig": (lambda: SolverConfig(tolerance=1e-8), ("tolerance", "max_iterations")),
     "ResolventProfile": (
         lambda: ResolventProfile(z=1j, g=np.full(4, 0.5j), pi=np.full(4, 0.5j), iterations=3, residual=1e-12),
         ("z", "g", "pi", "S", "iterations", "residual", "residual_history", "stages"),
@@ -478,10 +474,36 @@ def test_value_copies_keep_every_field(name, clone):
 def test_configs_keep_their_equality_and_hash():
     cfg = SolverConfig(tolerance=1e-8)
     assert cfg == SolverConfig(tolerance=1e-8) and hash(cfg) == hash(SolverConfig(tolerance=1e-8))
-    assert cfg != SolverConfig() and cfg != (1e-8, 10_000, 1.0, 0.7)
-    assert hash(SolverConfig()) == hash((1e-10, 10_000, 1.0, 0.7))
+    assert cfg != SolverConfig() and cfg != (1e-8, 10_000)
+    assert hash(SolverConfig()) == hash((1e-10, 10_000))
     ens = EnsembleConfig(n=8, replicates=2, seed=1, model=DELTA)
     assert ens == EnsembleConfig(n=8, replicates=2, seed=1, model=DELTA)
     assert ens != EnsembleConfig(n=8, replicates=2, seed=2, model=DELTA)
     with pytest.raises(TypeError):  # its model holds an array
         hash(ens)
+
+
+@pytest.mark.parametrize("name", [name for name in VALUES if name != "EnsembleResult"])  # its records hold wall times
+def test_values_built_twice_compare_equal(name):
+    make, _ = VALUES[name]
+    first, second = make(), make()
+    assert first is not second
+    assert (first == second) is True and (first != second) is False
+
+
+def test_values_holding_arrays_compare_element_by_element():
+    grid = DensityGrid(2, np.ones((2, 2)))
+    assert grid != DensityGrid(2, [[1.0, 1.0], [1.0, 2.0]])
+    with pytest.raises(TypeError):  # hash still goes over the field values, arrays included
+        hash(grid)
+
+
+def test_ensemble_results_compare_their_replicate_eigenvalues_element_by_element():
+    result = ensemble_esd(EnsembleConfig(n=8, replicates=2, seed=1, model=DELTA), contour=[1j, 2j])
+    same = {name: getattr(result, name) for name in result._fields}
+    same["replicate_eigenvalues"] = [eigs.copy() for eigs in result.replicate_eigenvalues]
+    assert type(result)(**same) == result
+    changed = [eigs.copy() for eigs in result.replicate_eigenvalues]
+    changed[1][0] += 1.0
+    assert type(result)(**{**same, "replicate_eigenvalues": changed}) != result
+    assert type(result)(**{**same, "eigenvalues": result.eigenvalues.astype(complex)}) != result  # same values, other dtype
