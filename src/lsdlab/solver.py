@@ -21,13 +21,17 @@ Uncertified stages accelerate the damped update with Anderson mixing of
 depth 1, accepting a mixed step only if it keeps Im pi >= 0; certified
 stages run the plain update, whose rate the certificate bounds.
 
-A contour is solved as one N x P block, a single point as a one-column
-block: every point is a column with its own height, damping and tolerance,
-started from pi = 0, and one iteration is one real matrix product with b for
-the whole contour. When b/N = U W has low rank r, each column of solve_curve
-instead takes Newton steps with the r x r Jacobian I - W diag(g^2) U; such an
-iteration adds one r x r solve per column, and its residual is still taken
-against the full b.
+Rows of b equal to the row above give g and pi equal to that row's at every
+iterate, so the solver takes one unknown per run of equal consecutive rows:
+with K runs, the discretized equation is a K x K one whose matrix holds each
+run's first row of b with the columns of each run summed. A contour is solved
+as one K x P block, a single point as a one-column block: every point is a
+column with its own height, damping and tolerance, started from pi = 0, and
+one iteration is one real matrix product with that K x K matrix for the whole
+contour. When b/N = U W has low rank r, each column of solve_curve instead
+takes Newton steps with the r x r Jacobian I - W diag(g^2) U, lumped by runs
+in the same way; such an iteration adds one r x r solve per column. Its
+residual is still that of the full b: the max over runs is the max over rows.
 """
 
 from __future__ import annotations
@@ -181,7 +185,7 @@ def _ladder_heights(im_target, mass):
 # residual; the last stage of every point converges to cfg.tolerance.
 _INNER_TOLERANCE = 1e-4
 # Densities of rank up to this take Newton steps with r x r Jacobians (see
-# _factor); above it the block runs the N x N map: on 61-point contours the
+# _factor); above it the block runs the plain map: on 61-point contours the
 # two broke even near r = 32 at N = 128 and r = 43 at N = 256.
 _NEWTON_MAX_RANK = 32
 # Iteration cap of every point's direct stage at its target height.
@@ -242,9 +246,14 @@ def _factor(b):
 
 
 def _solve_block(b, zs, cfg, factor=None):
-    """Solve every point of zs as one column of an N x P block fixed point.
+    """Solve every point of zs as one column of a K x P block fixed point.
 
-    Each iteration costs one real matrix product for all columns. A column
+    The block has one row per run of equal consecutive rows of b, K in all
+    (K = N when no two neighbours are equal): its product is with the K x K
+    matrix of each run's first row with the columns of each run summed, S and
+    the Anderson inner products weight run k by its length m_k, and the
+    residual, a max over runs, is the residual against the full b. Each
+    iteration costs one real matrix product for all columns. A column
     runs its point's attempts from pi = 0 and leaves the block once the
     point converges; the points of one height share their attempts, and the
     ladder is built when the first of them stalls in its direct stage.
@@ -253,16 +262,23 @@ def _solve_block(b, zs, cfg, factor=None):
     the damped update. The Herglotz postcondition is checked once, on every
     point. Returns per point of zs its S, column-iterations over all
     attempts, final residual, stage count and last stage's residuals, then
-    (g, pi) of a point that converged last: a one-column call's profile.
+    (g, pi) of a point that converged last, expanded to the N rows: a
+    one-column call's profile.
     """
     n, mass = b.n, b.mass
-    bvals = np.ascontiguousarray(b.values)
+    starts = np.flatnonzero(np.r_[True, (b.values[1:] != b.values[:-1]).any(axis=1)])
+    lengths = np.diff(starts, append=n)
+    runs = len(starts)
+    # run lengths as a column of weights, 1.0 for every row when no neighbours are equal
+    m = lengths.astype(float)[:, None]
+    bvals = np.add.reduceat(b.values[starts], starts, axis=1)
     newton = factor is not None
     if newton:
-        U, W = factor
+        # the rows of U within a run are equal, like those of b
+        U, W = factor[0][starts], np.add.reduceat(factor[1], starts, axis=1)
         r = U.shape[1]
         # row i r + j of jac is W[i, :] U[:, j], so jac @ g^2 stacks W diag(g^2) U
-        jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, n)
+        jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, runs)
         eye = np.eye(r)
         # a Newton point is finite with Im >= 0 when its (re, im) parts lie in [low, big]
         big = np.finfo(float).max
@@ -289,10 +305,10 @@ def _solve_block(b, zs, cfg, factor=None):
     history = [[] for _ in range(size)]  # residuals of the current stage, the last one final
     # per column: pi, g, F(pi), two scratch rows, and the previous step f and update G
     # of the Anderson mixing (or the Newton point); the active block is a contiguous
-    # prefix of each buffer so that g viewed as float64 is a real N x 2P matrix. The
+    # prefix of each buffer so that g viewed as float64 is a real K x 2P matrix. The
     # columns that leave park their g and pi in the tails this frees in rows 1 and 2:
-    # slot j of those rows viewed as size x N holds point order[j]
-    buf = np.zeros((7, n * size), dtype=complex)
+    # slot j of those rows viewed as size x K holds point order[j]
+    buf = np.zeros((7, runs * size), dtype=complex)
     order = np.empty(size, dtype=np.int64)
     # per column, as rows of one array each so that compaction gathers them together:
     # the point it solves, the block iterations at which its stage began and at which
@@ -323,11 +339,11 @@ def _solve_block(b, zs, cfg, factor=None):
     while live:
         if active != live:
             active = live
-            pi, g, pif, w, s, fp, gp = block = [a[: n * active].reshape(n, active) for a in buf]
+            pi, g, pif, w, s, fp, gp = block = [a[: runs * active].reshape(runs, active) for a in buf]
             # the same rows as float64 (re, im) pairs: numpy adds these, bit for bit, about
-            # twice as fast as complex arrays, and matmul takes them as real N x 2P matrices
+            # twice as fast as complex arrays, and matmul takes them as real K x 2P matrices
             pi_r, g_r, pif_r, w_r, s_r, fp_r, gp_r = (a.view(np.float64) for a in block)
-            absw = buf[4].view(np.float64)[: n * active].reshape(n, active)
+            absw = buf[4].view(np.float64)[: runs * active].reshape(runs, active)
             z_r = z.view(np.float64)[: 2 * active]
             dv, rv, tv, sv = damp[:active], rest[:active], tol[:active], start[:active]
             mv, ev = mixed[:active], end[:active]
@@ -366,14 +382,17 @@ def _solve_block(b, zs, cfg, factor=None):
             take = ((lo >= low) & (hi <= big)).all(axis=1)
         elif mixing:
             # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from
-            # the step f = G - pi (in w) and df = f - f_prev (in fp)
+            # the step f = G - pi (in w) and df = f - f_prev (in fp), each run's
+            # row weighted by its length as the N rows it stands for would be
             np.subtract(pif_r, pi_r, out=w_r)
             w *= dv
             np.subtract(w_r, fp_r, out=fp_r)
             np.conjugate(fp, out=s)
             s *= w
+            s_r *= m
             num = s.sum(axis=0)
             fp_r *= fp_r
+            fp_r *= m
             den = fp_r.sum(axis=0).reshape(active, 2).sum(axis=1)
             fp[...] = w
         if newton and take.all():
@@ -420,33 +439,36 @@ def _solve_block(b, zs, cfg, factor=None):
             # gather comes first, as those slots overlap the active block
             order[live:active] = point[finished]
             for row, a in ((1, g), (2, pif)):
-                buf[row, n * live : n * active] = a.T[finished].ravel()
+                buf[row, runs * live : runs * active] = a.T[finished].ravel()
             keep = np.delete(np.arange(active), finished)
             for a in (ints, cplx):
                 a[:, :live] = a[:, keep]
             for a in (tol, mixed):
                 a[:live] = a[keep]
-            # gather the persistent rows through the scratch row: no N x P temporary;
+            # gather the persistent rows through the scratch row: no K x P temporary;
             # f and G of the Anderson mixing only matter while a column mixes
             for row in (0, 5, 6) if mixed[:live].any() else (0,):
-                a = buf[row, : n * active].reshape(n, active)
-                kept = np.take(a, keep, axis=1, out=buf[3, : n * live].reshape(n, live), mode="clip")
-                buf[row, : n * live].reshape(n, live)[...] = kept
+                a = buf[row, : runs * active].reshape(runs, active)
+                kept = np.take(a, keep, axis=1, out=buf[3, : runs * live].reshape(runs, live), mode="clip")
+                buf[row, : runs * live].reshape(runs, live)[...] = kept
         mixing = bool(mixed[:live].any())
         deadline = int(end[:live].min(initial=it))
-    gs, pis = buf[1].reshape(size, n), buf[2].reshape(size, n)
+    gs, pis = buf[1].reshape(size, runs), buf[2].reshape(size, runs)
     _check_herglotz(zs[order], gs, pis)
     S = np.empty(size, dtype=complex)
-    S[order] = gs.mean(axis=1)
+    S[order] = (gs * m.T).sum(axis=1) / n
     stages = [len(stages) for stages in plan]
-    return S, count, [trace[-1] for trace in history], stages, history, (gs[0], pis[0])
+    profile = np.repeat(gs[0], lengths), np.repeat(pis[0], lengths)
+    return S, count, [trace[-1] for trace in history], stages, history, profile
 
 
 def solve_profile(b, z, cfg=None):
     """Solve the discretized self-consistent equation at one point.
 
-    A one-column block on the N x N map (never factored); its ``residual_history``
-    is the residual trace of the final stage, recorded for every point.
+    A one-column block on the plain map in one unknown per run of equal
+    rows (never factored); g and pi come back on all N rows. Its
+    ``residual_history`` is the residual trace of the final stage, recorded
+    for every point.
     """
     z = _upper_half_plane(z)
     _, (its,), (res,), (stages,), (hist,), (g, pi) = _solve_block(b, np.array([z]), cfg or DEFAULT_CONFIG)
@@ -475,7 +497,8 @@ def solve_curve(b, contour, cfg=None):
     column-iterations, over all attempts) match a solve of that point alone.
     A density of rank r <= _NEWTON_MAX_RANK (one _factor per call) is solved
     by Newton steps in r unknowns, whose iterations each cost a matrix
-    product with b plus an r x r solve; other densities run the N x N map.
+    product with the K x K lumped b plus an r x r solve; other densities run
+    the plain map on it.
     Points come back in contour order. NoConvergence names the first point
     to fail, ties going to the earlier point of the contour.
     """

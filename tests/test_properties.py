@@ -34,9 +34,19 @@ def contour(draw, scale):
 
 
 def density(draw):
-    """A random density and the square root of its mass (1 for a zero density)."""
-    n = draw(st.integers(1, 24))
-    b = DensityGrid(n, draw(arrays(np.float64, (n, n), elements=VALUES)))
+    """A random density and the square root of its mass (1 for a zero density).
+
+    Half the draws are block densities: a k x k level matrix repeated over
+    runs of equal rows and columns, which the solver takes one unknown per run.
+    """
+    if draw(st.booleans()):
+        k = draw(st.integers(1, 6))
+        levels = draw(arrays(np.float64, (k, k), elements=VALUES))
+        rows = np.repeat(np.arange(k), draw(st.lists(st.integers(1, 4), min_size=k, max_size=k)))
+        b = DensityGrid(len(rows), levels[np.ix_(rows, rows)])
+    else:
+        n = draw(st.integers(1, 24))
+        b = DensityGrid(n, draw(arrays(np.float64, (n, n), elements=VALUES)))
     assume(b.mass == 0.0 or b.mass >= MIN_MASS)
     return b, np.sqrt(b.mass) if b.mass > 0 else 1.0
 

@@ -637,3 +637,52 @@ class TestFactor:
         u, w = solver._factor(constant_density(0.0, 8))
         assert u.shape == (8, 0) and w.shape == (0, 8)
         assert np.array_equal(solve_curve(constant_density(0.0, 8), [0.4 + 0.8j]).S, [-1.0 / (0.4 + 0.8j)])
+
+
+def block_density(levels, lengths):
+    """Block variance profile: entry (i, j) of the k x k levels repeated over runs of the given lengths."""
+    rows = np.repeat(np.arange(len(lengths)), lengths)
+    return DensityGrid(len(rows), np.asarray(levels)[np.ix_(rows, rows)])
+
+
+class TestRuns:
+    """Rows equal to the row above share g and pi, so the block takes one unknown per run."""
+
+    def test_block_iterates_one_row_per_run(self, monkeypatch):
+        b = density_from_profile(profile_from_steps([0.5, 1.0, 2.0], 96))  # 3 runs of 32 rows
+        shapes, matmul = [], np.matmul
+
+        def recorder(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return matmul(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "matmul", recorder)
+        curve = solve_curve(b, [0.3 + 0.05j, -1.0 + 1j])
+        profile = solve_profile(b, 0.3 + 0.05j)
+        monkeypatch.undo()
+        assert shapes and set(shapes) == {(3, 3)}
+        assert profile.g.shape == profile.pi.shape == (96,)
+        assert np.array_equal(profile.g, np.repeat(profile.g[[0, 32, 64]], 32))
+        assert abs(profile.S - curve.S[0]) <= 10 * 1e-10
+
+    def test_lumping_is_exact(self):
+        # asymmetric levels, so the K x K matrix sums columns of unequal entries
+        levels = np.random.default_rng(71).uniform(0.2, 2.0, size=(4, 4))
+        lengths = (5, 1, 9, 3)
+        b = block_density(levels, lengths)
+        # a symmetric permutation that alternates the 9-row run with the others:
+        # no two neighbouring rows are equal, so its block has all N = 18 rows
+        members = [list(np.flatnonzero(np.repeat(np.arange(4), lengths) == k)) for k in range(4)]
+        others = members[0] + members[1] + members[3]
+        perm = np.ravel(np.column_stack([members[2], others]))
+        shuffled = DensityGrid(b.n, b.values[np.ix_(perm, perm)])
+        assert not (shuffled.values[1:] == shuffled.values[:-1]).all(axis=1).any()
+        zs = 0.3 + 1j * np.array([1e-3, 0.05, 1.0, 3.0])
+        lumped, full = solve_curve(b, zs), solve_curve(shuffled, zs)
+        assert np.array_equal(lumped.iterations, full.iterations)
+        assert np.abs(lumped.S - full.S).max() <= 1e-12
+        for z in zs:
+            one, other = solve_profile(b, z), solve_profile(shuffled, z)
+            assert one.iterations == other.iterations
+            assert abs(one.S - other.S) <= 1e-12
+            assert np.abs(one.g[perm] - other.g).max() <= 1e-12 * np.abs(other.g).max()
