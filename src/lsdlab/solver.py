@@ -262,7 +262,7 @@ def _solve_block(b, zs, cfg, factor=None):
     the damped update. The Herglotz postcondition is checked once, on every
     point. Returns per point of zs its S, column-iterations over all
     attempts, final residual, stage count and last stage's residuals, then
-    (g, pi) of a point that converged last, expanded to the N rows: a
+    (g, pi) of the contour's first point, expanded to the N rows: a
     one-column call's profile.
     """
     n, mass = b.n, b.mass
@@ -303,24 +303,18 @@ def _solve_block(b, zs, cfg, factor=None):
     stage = [0] * size
     count = [0] * size  # column-iterations over all attempts
     history = [[] for _ in range(size)]  # residuals of the current stage, the last one final
-    # per column: pi, g, F(pi), two scratch rows, and the previous step f and update G
-    # of the Anderson mixing (or the Newton point); the active block is a contiguous
-    # prefix of each buffer so that g viewed as float64 is a real K x 2P matrix. The
-    # columns that leave park their g and pi in the tails this frees in rows 1 and 2:
-    # slot j of those rows viewed as size x K holds point order[j]
-    buf = np.zeros((7, runs * size), dtype=complex)
-    order = np.empty(size, dtype=np.int64)
-    # per column, as rows of one array each so that compaction gathers them together:
-    # the point it solves, the block iterations at which its stage began and at which
-    # its budget runs out; its z and, as complex weights that round as a scalar damping
-    # factor does, d and 1 - d
-    ints = np.zeros((3, size), dtype=np.int64)
-    point, start, end = ints
-    point[:] = np.arange(size)
-    cplx = np.empty((3, size), dtype=complex)
-    z, damp, rest = cplx
+    # per column, each a vector of the block's width: the point it solves, the block
+    # iterations at which its stage began and at which its budget runs out, its z and,
+    # as complex weights that round as a scalar damping factor does, d and 1 - d
+    point = np.arange(size)
+    start, end = np.zeros((2, size), dtype=np.int64)
+    z, damp, rest = np.empty((3, size), dtype=complex)
     tol = np.empty(size)
     mixed = np.zeros(size, dtype=bool)  # stage outside the certified region
+    # K x P blocks of pi and of the previous step f and update G of the Anderson
+    # mixing (or the Newton point); g and pi of each point as its column leaves
+    pi, fp, gp = np.zeros((3, runs, size), dtype=complex)
+    gs, pis = np.empty((2, size, runs), dtype=complex)
     it = 0
 
     def start_stage(k):
@@ -335,19 +329,17 @@ def _solve_block(b, zs, cfg, factor=None):
     for k in range(size):
         start_stage(k)
     mixing = bool(mixed.any())
-    live, active, deadline = size, 0, int(end.min())
-    while live:
-        if active != live:
-            active = live
-            pi, g, pif, w, s, fp, gp = block = [a[: runs * active].reshape(runs, active) for a in buf]
-            # the same rows as float64 (re, im) pairs: numpy adds these, bit for bit, about
+    width, deadline = 0, int(end.min())
+    while point.size:
+        if width != point.size:
+            width = point.size
+            g, pif, w, s = np.empty((4, runs, width), dtype=complex)
+            absw = np.empty((runs, width))
+            # the same blocks as float64 (re, im) pairs: numpy adds these, bit for bit, about
             # twice as fast as complex arrays, and matmul takes them as real K x 2P matrices
-            pi_r, g_r, pif_r, w_r, s_r, fp_r, gp_r = (a.view(np.float64) for a in block)
-            absw = buf[4].view(np.float64)[: runs * active].reshape(runs, active)
-            z_r = z.view(np.float64)[: 2 * active]
-            dv, rv, tv, sv = damp[:active], rest[:active], tol[:active], start[:active]
-            mv, ev = mixed[:active], end[:active]
-            points = point[:active].tolist()
+            pi_r, g_r, pif_r, w_r, s_r, fp_r, gp_r = (a.view(np.float64) for a in (pi, g, pif, w, s, fp, gp))
+            z_r = z.view(np.float64)
+            points = point.tolist()
         np.add(pi_r, z_r, out=w_r)
         np.divide(-1.0, w, out=g)
         np.matmul(bvals, g_r, out=pif_r)
@@ -360,32 +352,32 @@ def _solve_block(b, zs, cfg, factor=None):
         for p, x in zip(points, res.tolist()):
             history[p].append(x)
         # one reduction catches converged columns and NaN residuals alike
-        event = it >= deadline or not (res > tv).all()
+        event = it >= deadline or not (res > tol).all()
         if newton:
             # Newton point pif - U J^-1 W (g^2 (pi - pif)), J = I - W diag(g^2) U,
             # of every column, in fp: with pi = U c and b/N = U W this is the
             # step c <- c - J^-1 (c - W g), and it carries the remainder E of b
             np.multiply(g, g, out=s)
-            jacs = eye - (jac @ s_r).view(complex).T.reshape(active, r, r)
+            jacs = eye - (jac @ s_r).view(complex).T.reshape(width, r, r)
             np.subtract(pi_r, pif_r, out=w_r)
             w *= s
             rhs = (W @ w_r).view(complex).T[:, :, None]
             try:
                 y = np.ascontiguousarray(np.linalg.solve(jacs, rhs)[:, :, 0].T)
             except np.linalg.LinAlgError:  # a singular J anywhere in the stack
-                y = np.full((r, active), np.nan, dtype=complex)
+                y = np.full((r, width), np.nan, dtype=complex)
             # np.dot, not matmul: at rank 1 numpy's matmul skips BLAS and took 4x as long
             np.dot(U, y.view(np.float64), out=fp_r)
             np.subtract(pif_r, fp_r, out=fp_r)
             # a column whose Newton point is not finite or leaves Im pi >= 0 keeps G
-            lo, hi = (a.reshape(active, 2) for a in (fp_r.min(axis=0), fp_r.max(axis=0)))
+            lo, hi = (a.reshape(width, 2) for a in (fp_r.min(axis=0), fp_r.max(axis=0)))
             take = ((lo >= low) & (hi <= big)).all(axis=1)
         elif mixing:
             # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from
             # the step f = G - pi (in w) and df = f - f_prev (in fp), each run's
             # row weighted by its length as the N rows it stands for would be
             np.subtract(pif_r, pi_r, out=w_r)
-            w *= dv
+            w *= damp
             np.subtract(w_r, fp_r, out=fp_r)
             np.conjugate(fp, out=s)
             s *= w
@@ -393,13 +385,13 @@ def _solve_block(b, zs, cfg, factor=None):
             num = s.sum(axis=0)
             fp_r *= fp_r
             fp_r *= m
-            den = fp_r.sum(axis=0).reshape(active, 2).sum(axis=1)
+            den = fp_r.sum(axis=0).reshape(width, 2).sum(axis=1)
             fp[...] = w
         if newton and take.all():
             np.copyto(pi, fp)  # no column keeps the damped update G, so it is not formed
         else:
-            np.multiply(pi, rv, out=pi)
-            np.multiply(pif, dv, out=w)
+            np.multiply(pi, rest, out=pi)
+            np.multiply(pif, damp, out=w)
             pi_r += w_r
             if newton:
                 np.copyto(pi, fp, where=take)
@@ -409,17 +401,17 @@ def _solve_block(b, zs, cfg, factor=None):
                 # it if it keeps Im pi >= 0, every other column keeps G
                 np.subtract(pi_r, gp_r, out=w_r)
                 gp[...] = pi
-                take = mv & (it - sv >= 2) & (den > 0)
+                take = mixed & (it - start >= 2) & (den > 0)
                 w *= np.divide(num, den, out=np.zeros_like(num), where=take)
                 np.subtract(pi_r, w_r, out=w_r)
                 take &= (w.imag >= 0).all(axis=0)
                 np.copyto(pi, w, where=take)
         if not event:
             continue
-        done = res <= tv
+        done = res <= tol
         finished = []
-        for k in np.flatnonzero(done | (ev <= it) | ~(res < np.inf)).tolist():
-            p, stage_its = points[k], it - int(sv[k])
+        for k in np.flatnonzero(done | (end <= it) | ~(res < np.inf)).tolist():
+            p, stage_its = points[k], it - int(start[k])
             count[p] += stage_its
             if done[k] and stage[p] + 1 == len(plan[p]):
                 finished.append(k)
@@ -434,29 +426,18 @@ def _solve_block(b, zs, cfg, factor=None):
             else:
                 raise _no_convergence(complex(zs[p]), stage[p], float(z[k].imag), float(res[k]), stage_its)
         if finished:
-            live = active - len(finished)
-            # park g and pi of the leaving columns in the slots their leaving frees; the
-            # gather comes first, as those slots overlap the active block
-            order[live:active] = point[finished]
-            for row, a in ((1, g), (2, pif)):
-                buf[row, runs * live : runs * active] = a.T[finished].ravel()
-            keep = np.delete(np.arange(active), finished)
-            for a in (ints, cplx):
-                a[:, :live] = a[:, keep]
-            for a in (tol, mixed):
-                a[:live] = a[keep]
-            # gather the persistent rows through the scratch row: no K x P temporary;
-            # f and G of the Anderson mixing only matter while a column mixes
-            for row in (0, 5, 6) if mixed[:live].any() else (0,):
-                a = buf[row, : runs * active].reshape(runs, active)
-                kept = np.take(a, keep, axis=1, out=buf[3, : runs * live].reshape(runs, live), mode="clip")
-                buf[row, : runs * live].reshape(runs, live)[...] = kept
-        mixing = bool(mixed[:live].any())
-        deadline = int(end[:live].min(initial=it))
-    gs, pis = buf[1].reshape(size, runs), buf[2].reshape(size, runs)
-    _check_herglotz(zs[order], gs, pis)
-    S = np.empty(size, dtype=complex)
-    S[order] = (gs * m.T).sum(axis=1) / n
+            gs[point[finished]] = g[:, finished].T
+            pis[point[finished]] = pif[:, finished].T
+            keep = np.delete(np.arange(width), finished)
+            point, start, end, z, damp, rest, tol, mixed = (
+                a[keep] for a in (point, start, end, z, damp, rest, tol, mixed)
+            )
+            # take, not a[:, keep]: that can be non-contiguous, which the float64 views refuse
+            pi, fp, gp = (a.take(keep, axis=1) for a in (pi, fp, gp))
+        mixing = bool(mixed.any())
+        deadline = int(end.min(initial=it))
+    _check_herglotz(zs, gs, pis)
+    S = (gs * m.T).sum(axis=1) / n
     stages = [len(stages) for stages in plan]
     profile = np.repeat(gs[0], lengths), np.repeat(pis[0], lengths)
     return S, count, [trace[-1] for trace in history], stages, history, profile

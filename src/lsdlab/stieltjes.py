@@ -90,16 +90,32 @@ def empirical_stieltjes(eigs, z):
     return complex(np.mean(1.0 / (_sample(eigs) - z)))
 
 
+# Eigenvalues per block of empirical_curve, whose temporary is this many rows of the contour.
+_CURVE_BLOCK = 256
+
+
 def empirical_curve(eigs, contour):
-    """Empirical transform evaluated at every contour point."""
+    """Empirical transform evaluated at every contour point.
+
+    The eigenvalues are taken in blocks of _CURVE_BLOCK rows, each reduction
+    starting from the previous one's sum, so the rows are added in the order
+    numpy adds those of the whole eigenvalues x contour array, which is not
+    formed. A one-point contour is a contiguous column, which numpy sums
+    pairwise, so it is one block.
+    """
     zs = np.asarray(contour, dtype=complex)
     e = _sample(eigs)
     if zs.ndim != 1 or zs.size == 0:
         raise InvalidInput("contour must be a nonempty 1-D array")
     _upper_half_plane(zs)
-    w = e[:, None] - zs[None, :]
-    s = np.divide(1.0, w, out=w).mean(axis=0)
-    return StieltjesCurve(zs, s)
+    step = _CURVE_BLOCK if zs.size > 1 else e.size
+    w = np.empty((step + 1, zs.size), dtype=complex)  # row 0 carries the running sum
+    for i in range(0, e.size, step):
+        rows = w[1 : 1 + min(step, e.size - i)]
+        np.subtract(e[i : i + step, None], zs, out=rows)
+        np.divide(1.0, rows, out=rows)
+        w[0] = np.add.reduce(w[0 if i else 1 : 1 + len(rows)], axis=0)
+    return StieltjesCurve(zs, w[0] / e.size)
 
 
 class DistributionTable(_Value):

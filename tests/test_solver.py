@@ -470,6 +470,25 @@ class TestHerglotzCheck:
         curve = solve_curve(constant_density(1.0, 16), np.linspace(-2.0, 2.0, 9) + 1j * np.linspace(0.05, 2.0, 9))
         assert np.array_equal(np.sort_complex(checked), np.sort_complex(curve.z))
 
+    def test_each_point_is_checked_with_its_own_g_and_pi(self, monkeypatch):
+        # the columns leave at Im z = 2.0, then 0.5, then 0.02, out of contour order;
+        # no two rows of b are equal, so every row is its own unknown
+        b = density_from_filter(MA3, 32)
+        assert (b.values[1:] != b.values[:-1]).any(axis=1).all()
+        rows = []
+        check = solver._check_herglotz
+        monkeypatch.setattr(solver, "_check_herglotz", lambda z, g, pi: rows.extend(zip(z, g, pi)) or check(z, g, pi))
+        contour = np.array([0.3 + 0.02j, -1.0 + 2.0j, 0.5 + 0.5j])
+        curve = solve_curve(b, contour)
+        monkeypatch.undo()
+        assert len(rows) == 3
+        for z, g, pi in rows:
+            (k,) = np.flatnonzero(contour == z)
+            np.testing.assert_allclose(pi, b.values @ g / b.n, rtol=0, atol=1e-12)
+            assert np.abs(g + 1.0 / (z + pi)).max() <= 1.01 * solver.DEFAULT_CONFIG.tolerance
+            assert g.mean() == pytest.approx(curve.S[k], abs=1e-13)
+            assert curve.S[k] == pytest.approx(solve_curve(b, [z]).S[0], abs=1e-12)
+
 
 class TestProductForm:
     def test_constant_profile_reduces_to_semicircle(self):

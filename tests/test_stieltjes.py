@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -63,6 +65,26 @@ class TestEmpiricalStieltjes:
         contour = np.linspace(-4.0, 4.0, 121) + 0.05j
         expected = (1.0 / (eigs[:, None] - contour[None, :])).mean(axis=0)
         assert empirical_curve(eigs, contour).S.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 255, 256, 257, 1000])
+    @pytest.mark.parametrize("points", [1, 2, 121])
+    def test_blocked_curve_equals_the_one_shot_formula(self, size, points):
+        eigs = np.random.default_rng(size).normal(size=size)
+        contour = np.linspace(-3.0, 3.0, points) + 0.05j
+        expected = np.divide(1.0, eigs[:, None] - contour[None, :]).mean(axis=0)
+        assert np.array_equal(empirical_curve(eigs, contour).S, expected)
+
+    def test_curve_peak_memory_is_a_few_blocks(self):
+        eigs = np.random.default_rng(5).normal(size=50_000)
+        contour = np.linspace(-4.0, 4.0, 121) + 0.05j
+        tracemalloc.start()
+        try:
+            empirical_curve(eigs, contour)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the whole 50,000 x 121 complex array would take 97 MB
+        assert peak < 4e6
 
     def test_requires_upper_half_plane(self):
         with pytest.raises(InvalidInput):
