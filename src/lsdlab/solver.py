@@ -10,12 +10,18 @@ update pi <- -(1/N) sum_j b[., j]/(z + pi[j]) preserves Im pi >= 0 and hence
 |z + pi| >= Im z, so every iterate (and the converged profile) satisfies the
 Herglotz bounds Im g > 0 and |g| <= 1/Im z.
 
-The iteration contracts a priori with factor B/(Im z)^2 where B is the grid
-mass of the density. Every point first runs one short stage at its target
-height; a stall restarts it on a ladder, built only then, that converges at
-a safe height, where that factor is <= 1/4, then lowers Im z geometrically,
-warm-starting each stage (convergence below sqrt(B) is empirical, not
-certified; stage residuals are reported). Inner ladder stages stop at a
+Every attempt starts from the mean-field self-energy pi0 = rowmean(b) S_sc(z),
+S_sc the semicircle transform of the grid mass B: the exact solution for a
+constant density. The solution in the upper half-plane is unique (Helton,
+Rashidi Far & Speicher, IMRN 2007), so this start reaches the same fixed
+point as any other there, in fewer iterations.
+
+The iteration contracts a priori with factor B/(Im z)^2. Every point first
+runs one short stage at its target height; a stall restarts it on a ladder,
+built only then, that converges at a safe height, where that factor is
+<= 1/4, then lowers Im z geometrically, warm-starting each stage
+(convergence below sqrt(B) is empirical, not certified; stage residuals are
+reported). Inner ladder stages stop at a
 loose residual; only the last stage of a point uses the tolerance.
 Uncertified stages accelerate the damped update with Anderson mixing of
 depth 1, accepting a mixed step only if it keeps Im pi >= 0; certified
@@ -26,11 +32,11 @@ iterate, so the solver takes one unknown per run of equal consecutive rows:
 with K runs, the discretized equation is a K x K one whose matrix holds each
 run's first row of b with the columns of each run summed. A contour is solved
 as one K x P block, a single point as a one-column block: every point is a
-column with its own height, damping and tolerance, started from pi = 0, and
-one iteration is one real matrix product with that K x K matrix for the whole
-contour. When b/N = U W has low rank r, each column of solve_curve instead
-takes Newton steps with the r x r Jacobian I - W diag(g^2) U, lumped by runs
-in the same way; such an iteration adds one r x r solve per column. Its
+column with its own height, damping and tolerance, from its mean-field
+start, and one iteration is one real matrix product with that K x K matrix
+for the whole contour. When b/N = U W has low rank r, each column of
+solve_curve instead takes Newton steps with the r x r Jacobian
+I - W diag(g^2) U, lumped by runs in the same way; such an iteration adds one r x r solve per column. Its
 residual is still that of the full b: the max over runs is the max over rows.
 """
 
@@ -133,16 +139,25 @@ class ScalarSolution(_Value):
 def semicircle_transform(sigma2, z):
     """Closed-form transform of the semicircle law of variance sigma2.
 
-    S = -(z - sqrt(z^2 - 4 sigma2)) / (2 sigma2), taking the square root with
-    positive imaginary part.
+    S = -2 / (z + sqrt(z^2 - 4 sigma2)), the root whose branch follows z (see
+    _semicircle).
     """
     if sigma2 <= 0:
         raise InvalidInput("sigma2 must be positive")
-    z = _upper_half_plane(z)
-    root = np.sqrt(complex(z * z - 4.0 * sigma2))
-    if root.imag < 0:
-        root = -root
-    return complex(-(z - root) / (2.0 * sigma2))
+    return complex(_semicircle(sigma2, _upper_half_plane(z)))
+
+
+def _semicircle(mass, z):
+    """S_sc(z; B) = -2 / (z + sqrt(z^2 - 4B)) for z in the upper half-plane, B >= 0.
+
+    The root whose branch follows z is sqrt(z - 2 sqrt(B)) sqrt(z + 2 sqrt(B))
+    with principal roots: both factors lie in the first quadrant, and no
+    z^2 - 4B is formed. So S stays finite with Im S >= 0 at every B, down to
+    B = 0 (S = -1/z), where the textbook -(z - root)/(2B) loses all its digits.
+    Takes a z or an array of them.
+    """
+    edge = 2.0 * np.sqrt(mass)
+    return -2.0 / (z + np.sqrt(z - edge) * np.sqrt(z + edge))
 
 
 def contraction_certificate(b, z):
@@ -205,7 +220,8 @@ def _no_convergence(z, stage, height, residual, iterations):
 def _attempts(im_target, mass, cfg):
     """Stages to try in turn for one point, as (height, damping, tolerance, certified, budget).
 
-    A generator of attempts, each a tuple of stages started from pi = 0:
+    A generator of attempts, each a tuple of stages whose first starts from
+    the mean-field self-energy at its height and whose later ones start warm:
     first one direct stage at the target height, within
     min(cfg.max_iterations, _DIRECT_ITERATIONS), then the full ladder with
     cfg.max_iterations per stage. The ladder is built only when the caller
@@ -254,9 +270,10 @@ def _solve_block(b, zs, cfg, factor=None):
     the Anderson inner products weight run k by its length m_k, and the
     residual, a max over runs, is the residual against the full b. Each
     iteration costs one real matrix product for all columns. A column
-    runs its point's attempts from pi = 0 and leaves the block once the
-    point converges; the points of one height share their attempts, and the
-    ladder is built when the first of them stalls in its direct stage.
+    starts each of its point's attempts from pi0 = rowmean(b) S_sc(z; B)
+    at the attempt's first height, warm-starts the attempt's later stages
+    and leaves the block once the point converges; the points of one height
+    share their attempts, and the ladder is built when the first of them stalls in its direct stage.
     ``factor`` = (U, W) from _factor switches every column to Newton steps,
     and an iteration in which every column accepts its Newton point skips
     the damped update. The Herglotz postcondition is checked once, on every
@@ -272,6 +289,7 @@ def _solve_block(b, zs, cfg, factor=None):
     # run lengths as a column of weights, 1.0 for every row when no neighbours are equal
     m = lengths.astype(float)[:, None]
     bvals = np.add.reduceat(b.values[starts], starts, axis=1)
+    rowmean = bvals.sum(axis=1) / n
     newton = factor is not None
     if newton:
         # the rows of U within a run are equal, like those of b
@@ -328,6 +346,7 @@ def _solve_block(b, zs, cfg, factor=None):
 
     for k in range(size):
         start_stage(k)
+    np.multiply.outer(rowmean, _semicircle(mass, z), out=pi)
     mixing = bool(mixed.any())
     width, deadline = 0, int(end.min())
     while point.size:
@@ -421,8 +440,8 @@ def _solve_block(b, zs, cfg, factor=None):
                 start_stage(k)
             elif res[k] < np.inf and (retry := attempt(heights[p], tried[p] + 1)):
                 tried[p], plan[p], stage[p] = tried[p] + 1, retry, 0
-                pi[:, k] = 0.0
                 start_stage(k)
+                pi[:, k] = rowmean * _semicircle(mass, z[k])
             else:
                 raise _no_convergence(complex(zs[p]), stage[p], float(z[k].imag), float(res[k]), stage_its)
         if finished:
@@ -473,7 +492,8 @@ def measured_decay_ratio(profile):
 def solve_curve(b, contour, cfg=None):
     """Solve S(z) along a contour as one block fixed point.
 
-    Every point is its own block column, started from pi = 0. Columns are
+    Every point is its own block column, started from the mean-field
+    self-energy rowmean(b) S_sc(z; B). Columns are
     independent: a point's S (up to rounding) and ``iterations`` (its own
     column-iterations, over all attempts) match a solve of that point alone.
     A density of rank r <= _NEWTON_MAX_RANK (one _factor per call) is solved
@@ -497,7 +517,6 @@ def _scalar_stage(t, z, v, damping, tol, max_iter):
     leaves the upper half-plane is replaced by the damped step.
     """
     res, n = np.inf, len(t)
-    t = t.astype(complex)  # what numpy would cast t to in every product and quotient
     qq = np.empty((2, n), dtype=complex)
     q, q2 = qq
     for it in range(1, max_iter + 1):
@@ -527,16 +546,19 @@ def solve_product_form(t, z, cfg=None):
 
     Continuation follows the full solver's attempts, with the profile's mean
     square in the role of the contraction mass (it dominates the rank-one
-    grid mass). ``iterations`` counts every attempt, the stalled ones included.
+    grid mass). Each attempt starts from v0 = mean(t) S_sc(z; mean(t)^2) at
+    its first height, the block's mean-field start divided by t, as
+    pi = t v. ``iterations`` counts every attempt, the stalled ones included.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = _upper_half_plane(z)
-    tv = np.asarray(t.values, dtype=float)
+    mean_t = t.mean
+    tc = t.values.astype(complex)  # what numpy would cast t to in every product and quotient
     total = 0
     for stages in _attempts(z.imag, t.mean_square, cfg):
-        v = 0j
+        v = mean_t * complex(_semicircle(mean_t * mean_t, complex(z.real, stages[0][0])))
         for stage, (h, d, tol, _, budget) in enumerate(stages):
-            v, res, its, ok = _scalar_stage(tv, complex(z.real, h), v, d, tol, budget)
+            v, res, its, ok = _scalar_stage(tc, complex(z.real, h), v, d, tol, budget)
             total += its
             if not ok:
                 break
@@ -544,11 +566,10 @@ def solve_product_form(t, z, cfg=None):
             break
     else:
         raise _no_convergence(z, stage, h, res, its)
-    mean_t = float(np.add.reduce(tv) / tv.size)  # np.mean's rounding without its call overhead
     if v.imag < -1e-15 * (1.0 + abs(v)):
         raise LsdlabError("scalar solver postcondition failed: Im v >= 0")
     # Im v >= mean(t) Im z / a^2, a = |z| + max(t) mean(t) / Im z: > 0 unless that underflows
-    a = abs(z) + float(np.maximum.reduce(tv)) * mean_t / z.imag
+    a = abs(z) + t.max * mean_t / z.imag
     if mean_t / a * (z.imag / a) >= sys.float_info.min and not v.imag > 0:
         raise LsdlabError("scalar solver postcondition failed: Im v > 0")
     if abs(v) > (1.0 + 1e-9) * mean_t / z.imag:

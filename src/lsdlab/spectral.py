@@ -226,10 +226,11 @@ class DensityGrid(_Value):
 class ProfileFunction(_Value):
     """Nonnegative 1-D profile t(x) at grid midpoints; rank-one densities are t(x)t(y).
 
-    ``mean_square`` is the mean of t^2, which bounds the mass of t(x)t(y).
+    ``mean`` and ``max`` are those of t, and ``mean_square`` is the mean of
+    t^2, which bounds the mass of t(x)t(y).
     """
 
-    _fields = ("values", "mean_square")
+    _fields = ("values", "mean", "max", "mean_square")
 
     def __init__(self, values):
         t = _frozen(values)
@@ -243,7 +244,7 @@ class ProfileFunction(_Value):
             mean_square = float(np.mean(t * t))
         if not mean_square < np.inf:  # the solver's ladder would start at an infinite height
             raise InvalidInput("profile mean square overflows")
-        self._set(t, mean_square)
+        self._set(t, float(t.mean()), float(t.max()), mean_square)
 
     @property
     def n(self):

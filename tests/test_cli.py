@@ -348,7 +348,8 @@ class TestSolveCommand:
 
 
     def test_product_form_no_convergence_names_the_point(self, tmp_path, capsys):
-        model = write_model(tmp_path, "0 0 1.0\n")
+        # a separable filter: its density is t(x) t(y) with t = 4 cos^2(pi x), not a constant
+        model = write_model(tmp_path, "0 0 1.0\n1 0 1.0\n0 1 1.0\n1 1 1.0\n")
         solver_cfg = tmp_path / "solver.txt"
         solver_cfg.write_text("tolerance=1e-14\nmax_iterations=2\n")
         code = main(

@@ -37,6 +37,11 @@ def constant_density(sigma2, n=64):
     return DensityGrid(n, np.full((n, n), float(sigma2)))
 
 
+def step_density(levels, n):
+    """Rank-one density of a step profile: with more than one level, the mean-field start does not solve it."""
+    return density_from_profile(profile_from_steps(levels, n))
+
+
 def full_rank_density(rng, n, mass):
     """Symmetric positive grid of full rank with the given mass."""
     v = rng.uniform(0.5, 1.5, size=(n, n))
@@ -82,6 +87,37 @@ class TestSemicircleTransform:
         for u in (50.0, 200.0, 1000.0):
             s = semicircle_transform(1.0, 1j * u)
             assert abs(1j * u * s + 1.0) <= 2.0 / u**2
+
+
+class TestMeanFieldStart:
+    @pytest.mark.parametrize("sigma2", [0.25, 1.0, 4.0])
+    def test_constant_density_converges_in_one_iteration(self, sigma2):
+        # the start rowmean(b) S_sc(z; B) is the exact solution of a constant density
+        root = np.sqrt(sigma2)
+        contour = np.concatenate(
+            [np.linspace(-3.0, 3.0, 13) * root + 1e-5j * root, 0.7 + 1j * np.geomspace(0.05, 10.0, 7) * root]
+        )
+        b, t = constant_density(sigma2, 32), profile_from_steps([root], 32)
+        curve = solve_curve(b, contour)
+        exact = np.array([semicircle_transform(sigma2, z) for z in contour])
+        assert np.abs(curve.S - exact).max() <= 1e-15
+        assert (curve.iterations == 1).all()
+        for z in contour[::4]:
+            prof, sol = solve_profile(b, z), solve_product_form(t, z)
+            assert (prof.iterations, sol.iterations) == (1, 1)
+            assert max(abs(prof.S - semicircle_transform(sigma2, z)), abs(sol.S - prof.S)) <= 1e-15
+
+    @pytest.mark.parametrize("mass", [0.0, 1e-300, 1e6])
+    def test_start_is_finite_in_the_upper_half_plane(self, mass):
+        # tier-1 turns every RuntimeWarning into an error
+        zs = np.array([1e-5j, 1j, -3.0 + 1e-8j, 3.0 + 1e-8j, 1e3 + 1e-3j, -1e150 + 1e150j, 1e-300j])
+        for zz in (zs, *zs):
+            s = solver._semicircle(mass, zz)
+            assert np.isfinite(s).all() and (s.imag >= 0).all()
+        if mass < 1e-200:  # S_sc = -1/z where |z| >> sqrt(B), but -(z - root)/(2B) keeps no digit of it
+            np.testing.assert_allclose(solver._semicircle(mass, zs[:-1]), -1.0 / zs[:-1], rtol=1e-15)
+        curve = solve_curve(constant_density(mass, 8), zs[:5])
+        assert (curve.iterations == 1).all()
 
 
 class TestSolveProfile:
@@ -135,18 +171,18 @@ class TestSolveProfile:
     def test_no_convergence_reports_stage(self):
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
         with pytest.raises(NoConvergence) as info:
-            solve_profile(constant_density(1.0), 0.05j, cfg)
+            solve_profile(step_density([0.5, 1.5, 1.0], 64), 0.05j, cfg)
         assert info.value.stage is not None
         assert info.value.residual is not None
 
     def test_direct_stage_converges_below_sqrt_mass(self):
-        prof = solve_profile(constant_density(4.0), 0.1j)
+        prof = solve_profile(step_density([1.0, 3.0, 2.0], 64), 0.1j)
         assert prof.stages == 1
         assert prof.residual <= 1e-10
 
     def test_continuation_engages_below_sqrt_mass(self, monkeypatch):
         monkeypatch.setattr(solver, "_DIRECT_ITERATIONS", 1)  # the direct stage stalls
-        prof = solve_profile(constant_density(4.0), 0.1j)
+        prof = solve_profile(step_density([1.0, 3.0, 2.0], 64), 0.1j)
         assert prof.stages > 1
         assert prof.residual <= 1e-10
 
@@ -186,9 +222,8 @@ class TestContraction:
 
 
 def test_residual_history_is_monotone_under_contraction():
-    n = 16
     cfg = SolverConfig(tolerance=1e-12, max_iterations=200)
-    hist = solve_profile(DensityGrid(n, np.ones((n, n))), 3j, cfg).residual_history
+    hist = solve_profile(step_density([0.5, 1.5, 1.0], 16), 3j, cfg).residual_history
     assert hist.size > 2
     assert (np.diff(hist) < 0).all()
 
@@ -320,7 +355,7 @@ class TestSolveCurve:
 
     def test_stalled_direct_stage_restarts_through_ladder(self, monkeypatch):
         # near the spectral edge the direct Newton stage stalls within 5 iterations
-        b = constant_density(4.0, 16)
+        b = step_density([1.0, 3.0, 2.0], 16)
         z = [4.02 + 0.005j]
         cfg = SolverConfig(max_iterations=5)
         stalled = solve_curve(b, z, cfg)
@@ -351,10 +386,11 @@ class TestSolveCurve:
             assert abs(s - alone.S[0]) <= 10 * 1e-10
 
     def test_readme_contour_column_iterations(self):
-        # Newton steps in 3 unknowns at the target height take 764; the
-        # Anderson-mixed ladder took 6,874 and the plain ladder 14,914
+        # Newton steps in 3 unknowns at the target height take 495 from the
+        # mean-field start and took 764 from zero; the Anderson-mixed ladder
+        # took 6,874 and the plain ladder 14,914
         curve = solve_curve(density_from_filter(MA3, 128), np.linspace(-9.0, 9.0, 121) + 0.05j)
-        assert curve.iterations.sum() <= 1_500
+        assert curve.iterations.sum() <= 600
 
     def test_newton_curve_matches_single_point_solves(self):
         rng = np.random.default_rng(43)
@@ -371,8 +407,8 @@ class TestSolveCurve:
     def test_no_convergence_names_the_contour_point(self):
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
         # both points stall in the same iteration: the earlier one in the contour is named
-        with pytest.raises(NoConvergence, match=r"contour point z = 0\.5\+0\.05j: stage 0 at Im z"):
-            solve_curve(constant_density(1.0, 16), [0.5 + 0.05j, -0.5 + 0.05j], cfg)
+        with pytest.raises(NoConvergence, match=r"contour point z = 0\.5\+0\.05j: stage 1 at Im z"):
+            solve_curve(step_density([0.5, 1.5, 1.0], 16), [0.5 + 0.05j, -0.5 + 0.05j], cfg)
 
     @pytest.mark.parametrize(
         "contour",
@@ -398,7 +434,7 @@ class TestSolveCurve:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        b = constant_density(1.0, 32)
+        b = step_density([0.5, 1.5, 1.0], 32)
         zs = np.array([2j, 0.5 + 3j])  # certified: the damped update alone converges
         plain = solver._solve_block(b, zs, solver.DEFAULT_CONFIG)
         near, cfg = [0.5 + 0.05j], SolverConfig(max_iterations=5)
@@ -520,13 +556,14 @@ class TestProductForm:
         assert not ok and its == 1 and np.isnan(res)
 
     def test_stalled_certified_stage_retries_through_ladder(self):
-        # every point plans one direct stage first, which stalls within 4 iterations
-        t = profile_from_steps([1.0], 8)
-        assert not solver._scalar_stage(t.values, 1.05j, 0j, 1.0, 1e-10, 4)[3]
-        sol = solve_product_form(t, 1.05j, SolverConfig(max_iterations=4))
-        assert abs(sol.S - semicircle_transform(1.0, 1.05j)) < 1e-8
-        # the stalled attempt's 4 iterations, then the 4-stage ladder's 13
-        assert sol.iterations == 17
+        # every point plans one direct stage first, which stalls within 3 iterations
+        t, z = profile_from_steps([0.0, 0.0, 0.0, 4.0], 8), 2.1j  # mean square 4, so certified
+        v0 = t.mean * solver._semicircle(t.mean**2, z)
+        assert not solver._scalar_stage(t.values, z, v0, 1.0, 1e-10, 3)[3]
+        sol = solve_product_form(t, z, SolverConfig(max_iterations=3))
+        assert abs(sol.S - solve_profile(density_from_profile(t), z).S) < 1e-8
+        # the stalled attempt's 3 iterations, then the 4-stage ladder's 11
+        assert sol.iterations == 14
 
     def test_newton_point_below_the_axis_takes_the_damped_step(self):
         t = profile_from_steps([0.5, 1.5, 1.0], 16)
@@ -538,7 +575,7 @@ class TestProductForm:
         step = solver._scalar_stage(t.values, z, v, damping, 1e-10, 1)[0]
         assert abs(step - ((1.0 - damping) * v + damping * f)) <= 1e-15 * abs(v)
         sol = solve_product_form(t, z)
-        assert sol.residual <= 1e-10 and sol.iterations == 9  # still on the direct stage
+        assert sol.residual <= 1e-10 and sol.iterations == 5  # still on the direct stage
         assert abs(sol.S - solve_curve(density_from_profile(t), [z]).S[0]) <= 1e-8
 
     def test_points_near_the_axis_converge_without_a_ladder(self, monkeypatch):

@@ -403,7 +403,7 @@ VALUES = {
     "VolterraCoefficients": (lambda: VolterraCoefficients({((0, 0), (1, 0)): 1.0}), ("entries",)),
     "CovarianceTable": (lambda: CovarianceTable(1, np.diag([0.0, 1.0, 0.0])), ("radius", "gamma")),
     "DensityGrid": (lambda: DensityGrid(2, np.ones((2, 2))), ("n", "values", "mass")),
-    "ProfileFunction": (lambda: ProfileFunction(np.ones(4)), ("values", "mean_square")),
+    "ProfileFunction": (lambda: ProfileFunction(np.ones(4)), ("values", "mean", "max", "mean_square")),
     "SolverConfig": (lambda: SolverConfig(tolerance=1e-8), ("tolerance", "max_iterations")),
     "ResolventProfile": (
         lambda: ResolventProfile(z=1j, g=np.full(4, 0.5j), pi=np.full(4, 0.5j), iterations=3, residual=1e-12),
