@@ -36,8 +36,15 @@ column with its own height, damping and tolerance, from its mean-field
 start, and one iteration is one real matrix product with that K x K matrix
 for the whole contour. When b/N = U W has low rank r, each column of
 solve_curve instead takes Newton steps with the r x r Jacobian
-I - W diag(g^2) U, lumped by runs in the same way; such an iteration adds one r x r solve per column. Its
-residual is still that of the full b: the max over runs is the max over rows.
+I - W diag(g^2) U, U W the factor of the lumped K x K matrix; such an
+iteration adds one r x r solve per column. Its residual is still that of the
+full b: the max over runs is the max over rows.
+
+The product form b = t(x) t(y) reduces to one scalar equation in v, with
+pi = t v. Its Newton steps take f(v) = -mean(t/(z + t v)) and f'(v) as one
+Python complex term per run (t_k, m_k) of equal values of t when t has at
+most _SCALAR_MAX_RUNS runs, and as numpy sums over the N entries otherwise.
+Its S = -mean(1/(z + t v)) is the mean of g at the final v.
 """
 
 from __future__ import annotations
@@ -126,8 +133,9 @@ def _check_herglotz(z, g, pi):
 class ScalarSolution(_Value):
     """Solution of the rank-one (product-profile) reduction at one point.
 
-    v solves v = -(1/N) sum_j t[j]/(z + t[j] v); the transform follows as
-    S = -(1 + v^2)/z, which holds exactly at the discrete fixed point.
+    v solves v = -(1/N) sum_j t[j]/(z + t[j] v), and S = -(1/N) sum_j 1/(z + t[j] v)
+    is the mean of g = -1/(z + t v) at that v. At the exact fixed point S also
+    equals -(1 + v^2)/z, but that form divides the stopping error of v by |z|.
     """
 
     _fields = ("z", "v", "S", "iterations", "residual")
@@ -203,6 +211,11 @@ _INNER_TOLERANCE = 1e-4
 # _factor); above it the block runs the plain map: on 61-point contours the
 # two broke even near r = 32 at N = 128 and r = 43 at N = 256.
 _NEWTON_MAX_RANK = 32
+# Profiles of up to this many runs of equal values take the scalar stage's
+# sums as one Python term per run; longer ones take numpy over all N entries,
+# whose call overhead a long Python sum outgrows: one stage broke even near
+# 16 runs at N = 128.
+_SCALAR_MAX_RUNS = 16
 # Iteration cap of every point's direct stage at its target height.
 _DIRECT_ITERATIONS = 50
 
@@ -241,19 +254,21 @@ def _attempts(im_target, mass, cfg):
     yield tuple(stage(h, loose, budget) for h in inner) + (stage(last, cfg.tolerance, budget),)
 
 
-def _factor(b):
-    """Complete-pivot cross approximation b/N = U W + E with max|E| <= 1e-12 max b/N.
+def _factor(bvals, n):
+    """Complete-pivot cross approximation bvals/n = U W + E with max|E| <= 1e-12 max bvals/n.
 
+    bvals is a K x K matrix, in _solve_block the lumped b of an N-point grid.
     Gaussian elimination with full pivoting, stopped early. Returns (U, W),
-    U of size N x r, or None when r would pass _NEWTON_MAX_RANK.
+    U of size K x r, or None when r would pass _NEWTON_MAX_RANK.
     """
-    rest = np.array(b.values, dtype=float)
+    rest = np.array(bvals, dtype=float)
+    size = len(rest)
     floor = 1e-12 * rest.max()
     us, ws = [], []
     while True:
         i, j = np.unravel_index(np.abs(rest).argmax(), rest.shape)
         if not abs(rest[i, j]) > floor:
-            return np.reshape(us, (-1, b.n)).T.copy(), np.reshape(ws, (-1, b.n)) / b.n
+            return np.reshape(us, (-1, size)).T.copy(), np.reshape(ws, (-1, size)) / n
         if len(us) == _NEWTON_MAX_RANK:
             return None
         us.append(rest[:, j] / rest[i, j])
@@ -261,7 +276,7 @@ def _factor(b):
         rest -= np.outer(us[-1], ws[-1])
 
 
-def _solve_block(b, zs, cfg, factor=None):
+def _solve_block(b, zs, cfg, newton=False):
     """Solve every point of zs as one column of a K x P block fixed point.
 
     The block has one row per run of equal consecutive rows of b, K in all
@@ -274,9 +289,10 @@ def _solve_block(b, zs, cfg, factor=None):
     at the attempt's first height, warm-starts the attempt's later stages
     and leaves the block once the point converges; the points of one height
     share their attempts, and the ladder is built when the first of them stalls in its direct stage.
-    ``factor`` = (U, W) from _factor switches every column to Newton steps,
-    and an iteration in which every column accepts its Newton point skips
-    the damped update. The Herglotz postcondition is checked once, on every
+    ``newton`` factors the K x K matrix with _factor and, when its rank is
+    at most _NEWTON_MAX_RANK, switches every column to Newton steps; an
+    iteration in which every column accepts its Newton point skips the
+    damped update. The Herglotz postcondition is checked once, on every
     point. Returns per point of zs its S, column-iterations over all
     attempts, final residual, stage count and last stage's residuals, then
     (g, pi) of the contour's first point, expanded to the N rows: a
@@ -290,10 +306,10 @@ def _solve_block(b, zs, cfg, factor=None):
     m = lengths.astype(float)[:, None]
     bvals = np.add.reduceat(b.values[starts], starts, axis=1)
     rowmean = bvals.sum(axis=1) / n
+    factor = _factor(bvals, n) if newton else None
     newton = factor is not None
     if newton:
-        # the rows of U within a run are equal, like those of b
-        U, W = factor[0][starts], np.add.reduceat(factor[1], starts, axis=1)
+        U, W = factor
         r = U.shape[1]
         # row i r + j of jac is W[i, :] U[:, j], so jac @ g^2 stacks W diag(g^2) U
         jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, runs)
@@ -496,42 +512,88 @@ def solve_curve(b, contour, cfg=None):
     self-energy rowmean(b) S_sc(z; B). Columns are
     independent: a point's S (up to rounding) and ``iterations`` (its own
     column-iterations, over all attempts) match a solve of that point alone.
-    A density of rank r <= _NEWTON_MAX_RANK (one _factor per call) is solved
-    by Newton steps in r unknowns, whose iterations each cost a matrix
-    product with the K x K lumped b plus an r x r solve; other densities run
-    the plain map on it.
+    A density whose K x K lumped matrix has rank r <= _NEWTON_MAX_RANK (one
+    _factor of it per call) is solved by Newton steps in r unknowns, whose
+    iterations each cost a matrix product with that matrix plus an r x r
+    solve; other densities run the plain map on it.
     Points come back in contour order. NoConvergence names the first point
     to fail, ties going to the earlier point of the contour.
     """
     zs = _upper_half_plane(np.ravel(contour))
     if not zs.size:
         raise InvalidInput("contour must contain at least one point")
-    S, iterations, residuals = _solve_block(b, zs, cfg or DEFAULT_CONFIG, factor=_factor(b))[:3]
+    S, iterations, residuals = _solve_block(b, zs, cfg or DEFAULT_CONFIG, newton=True)[:3]
     return StieltjesCurve(zs, S, iterations, residuals)
 
 
-def _scalar_stage(t, z, v, damping, tol, max_iter):
-    """Newton's method on v - f(v) = 0, f(v) = -mean(t/(z + t v)).
+def _run_sums(runs, n):
+    """(sums, transform) of a profile of N entries from its runs (t_k, m_k).
 
-    f'(v) = mean((t/(z + t v))^2). A Newton point that is not finite or
-    leaves the upper half-plane is replaced by the damped step.
+    sums(z, v) gives f(v) = -mean(t/(z + t v)) and f'(v) = mean((t/(z + t v))^2),
+    transform(z, v) gives S = -mean(1/(z + t v)), each as a Python complex
+    sum of one term per run.
     """
-    res, n = np.inf, len(t)
+
+    def sums(z, v):
+        f = df = 0j
+        for tk, mk in runs:
+            q = tk / (z + tk * v)
+            mq = mk * q
+            f += mq
+            df += mq * q
+        return -f / n, df / n
+
+    def transform(z, v):
+        s = 0j
+        for tk, mk in runs:
+            s += mk / (z + tk * v)
+        return -s / n
+
+    return sums, transform
+
+
+def _array_sums(t):
+    """The (sums, transform) of _run_sums as numpy sums over the N entries of t."""
+    n = len(t)
+    inv = 1.0 / n
+    tc = t.astype(complex)  # what numpy would cast t to in every product and quotient
     qq = np.empty((2, n), dtype=complex)
     q, q2 = qq
-    for it in range(1, max_iter + 1):
-        np.multiply(t, v, out=q)
-        q += z
-        np.divide(t, q, out=q)
+
+    def sums(z, v):
+        np.multiply(tc, v, out=q)
+        np.add(q, z, out=q)
+        np.divide(tc, q, out=q)
         np.multiply(q, q, out=q2)
-        sums = np.add.reduce(qq, axis=1)  # each row summed as np.mean sums it, without its call overhead
-        f = complex(-(sums[0] / n))
+        # each row summed as np.mean sums it, without its call overhead, and
+        # scaled as numpy divides a complex by n: through the reciprocal
+        f, df = np.add.reduce(qq, axis=1).tolist()
+        return -(f * inv), df * inv
+
+    def transform(z, v):
+        np.multiply(tc, v, out=q)
+        np.add(q, z, out=q)
+        np.reciprocal(q, out=q)
+        return -(complex(np.add.reduce(q)) * inv)
+
+    return sums, transform
+
+
+def _scalar_stage(sums, z, v, damping, tol, max_iter):
+    """Newton's method on v - f(v) = 0, with f(v) and f'(v) from sums(z, v).
+
+    A Newton point that is not finite or leaves the upper half-plane is
+    replaced by the damped step.
+    """
+    res = np.inf
+    for it in range(1, max_iter + 1):
+        f, df = sums(z, v)
         res = abs(f - v)
         if res <= tol:
             return f, res, it, True
         if not res < np.inf:
             break
-        slope = 1.0 - complex(sums[1] / n)
+        slope = 1.0 - df
         if slope != 0:  # complex division by zero raises
             newton = v - (v - f) / slope
             if newton.imag >= 0 and abs(newton) < np.inf:
@@ -549,16 +611,18 @@ def solve_product_form(t, z, cfg=None):
     grid mass). Each attempt starts from v0 = mean(t) S_sc(z; mean(t)^2) at
     its first height, the block's mean-field start divided by t, as
     pi = t v. ``iterations`` counts every attempt, the stalled ones included.
+    A profile of at most _SCALAR_MAX_RUNS runs is summed run by run in Python,
+    a longer one entry by entry in numpy.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = _upper_half_plane(z)
     mean_t = t.mean
-    tc = t.values.astype(complex)  # what numpy would cast t to in every product and quotient
+    sums, transform = _run_sums(t.runs, t.n) if len(t.runs) <= _SCALAR_MAX_RUNS else _array_sums(t.values)
     total = 0
     for stages in _attempts(z.imag, t.mean_square, cfg):
         v = mean_t * complex(_semicircle(mean_t * mean_t, complex(z.real, stages[0][0])))
         for stage, (h, d, tol, _, budget) in enumerate(stages):
-            v, res, its, ok = _scalar_stage(tc, complex(z.real, h), v, d, tol, budget)
+            v, res, its, ok = _scalar_stage(sums, complex(z.real, h), v, d, tol, budget)
             total += its
             if not ok:
                 break
@@ -574,5 +638,4 @@ def solve_product_form(t, z, cfg=None):
         raise LsdlabError("scalar solver postcondition failed: Im v > 0")
     if abs(v) > (1.0 + 1e-9) * mean_t / z.imag:
         raise LsdlabError("scalar solver postcondition failed: |v| <= mean(t)/Im z")
-    s = -(1.0 + v * v) / z
-    return ScalarSolution(z=z, v=v, S=complex(s), iterations=total, residual=res)
+    return ScalarSolution(z=z, v=v, S=complex(transform(z, v)), iterations=total, residual=res)

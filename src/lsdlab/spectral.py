@@ -227,10 +227,12 @@ class ProfileFunction(_Value):
     """Nonnegative 1-D profile t(x) at grid midpoints; rank-one densities are t(x)t(y).
 
     ``mean`` and ``max`` are those of t, and ``mean_square`` is the mean of
-    t^2, which bounds the mass of t(x)t(y).
+    t^2, which bounds the mass of t(x)t(y). ``runs`` holds a pair (t_k, m_k)
+    per run of equal consecutive values, in order: the run's value and its
+    length, as Python float and int.
     """
 
-    _fields = ("values", "mean", "max", "mean_square")
+    _fields = ("values", "mean", "max", "mean_square", "runs")
 
     def __init__(self, values):
         t = _frozen(values)
@@ -244,7 +246,9 @@ class ProfileFunction(_Value):
             mean_square = float(np.mean(t * t))
         if not mean_square < np.inf:  # the solver's ladder would start at an infinite height
             raise InvalidInput("profile mean square overflows")
-        self._set(t, float(t.mean()), float(t.max()), mean_square)
+        values, cuts = t.tolist(), [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), t.size]
+        runs = tuple((values[a], b - a) for a, b in zip(cuts, cuts[1:]))
+        self._set(t, float(t.mean()), float(t.max()), mean_square, runs)
 
     @property
     def n(self):

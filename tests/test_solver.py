@@ -275,7 +275,7 @@ class TestSolveCurve:
     def test_profile_and_one_point_curve_share_the_block_path(self):
         # an unfactored density: both run the plain and Anderson-mixed map
         b = full_rank_density(np.random.default_rng(61), 48, 4.0)
-        assert solver._factor(b) is None
+        assert solver._factor(b.values, b.n) is None
         for z in (0.3 + 0.1j, -1.0 + 1.5j, 5j):
             prof, curve = solve_profile(b, z), solve_curve(b, [z])
             assert prof.S == curve.S[0]
@@ -316,7 +316,7 @@ class TestSolveCurve:
     def test_direct_stage_saves_iterations_on_the_full_rank_map(self):
         # below sqrt(mass) = 2 the ladder alone took 753 column-iterations
         b = full_rank_density(np.random.default_rng(41), 48, 4.0)
-        assert solver._factor(b) is None
+        assert solver._factor(b.values, b.n) is None
         curve = solve_curve(b, np.linspace(-3.0, 3.0, 13) + 0.1j)
         assert curve.iterations.sum() <= 500
         assert curve.residuals.max() <= 1e-10
@@ -324,7 +324,7 @@ class TestSolveCurve:
     def test_loose_inner_stages_save_iterations(self, monkeypatch):
         # a full-rank grid runs the N x N map; without the direct stage its points take the ladder
         b = full_rank_density(np.random.default_rng(41), 48, 4.0)
-        assert solver._factor(b) is None
+        assert solver._factor(b.values, b.n) is None
         attempts = solver._attempts
         monkeypatch.setattr(solver, "_attempts", lambda *a: itertools.islice(attempts(*a), 1, None))  # the ladder alone
         contour = np.linspace(-3.0, 3.0, 13) + 0.1j  # below sqrt(mass) = 2
@@ -396,7 +396,7 @@ class TestSolveCurve:
         rng = np.random.default_rng(43)
         for _ in range(4):
             b = density_from_filter(random_filter(rng), 48)
-            assert solver._factor(b) is not None
+            assert solver._factor(b.values, b.n) is not None
             root = np.sqrt(b.mass)
             contour = np.concatenate([np.linspace(-3.0, 3.0, 7) * root + 0.05j, 0.4 + 1j * np.geomspace(0.05, 3.0, 4)])
             curve = solve_curve(b, contour)
@@ -526,6 +526,11 @@ class TestHerglotzCheck:
             assert curve.S[k] == pytest.approx(solve_curve(b, [z]).S[0], abs=1e-12)
 
 
+def run_sums(t):
+    """The scalar stage's f and f' of a step profile, summed by runs as solve_product_form sums them."""
+    return solver._run_sums(t.runs, t.n)[0]
+
+
 class TestProductForm:
     def test_constant_profile_reduces_to_semicircle(self):
         t = profile_from_steps([1.0], 64)
@@ -551,15 +556,16 @@ class TestProductForm:
     def test_non_finite_profile_fails_fast(self):
         with pytest.raises(InvalidInput, match="non-finite"):
             ProfileFunction(np.array([1.0, np.nan]))
-        # the scalar stage itself stops at the first non-finite residual
-        _, res, its, ok = solver._scalar_stage(np.array([1.0, np.nan]), 2j, 0j, 1.0, 1e-10, 100)
-        assert not ok and its == 1 and np.isnan(res)
+        # the scalar stage itself stops at the first non-finite residual, on either sums
+        for sums, _ in (solver._run_sums(((1.0, 1), (np.nan, 1)), 2), solver._array_sums(np.array([1.0, np.nan]))):
+            _, res, its, ok = solver._scalar_stage(sums, 2j, 0j, 1.0, 1e-10, 100)
+            assert not ok and its == 1 and np.isnan(res)
 
     def test_stalled_certified_stage_retries_through_ladder(self):
         # every point plans one direct stage first, which stalls within 3 iterations
         t, z = profile_from_steps([0.0, 0.0, 0.0, 4.0], 8), 2.1j  # mean square 4, so certified
         v0 = t.mean * solver._semicircle(t.mean**2, z)
-        assert not solver._scalar_stage(t.values, z, v0, 1.0, 1e-10, 3)[3]
+        assert not solver._scalar_stage(run_sums(t), z, v0, 1.0, 1e-10, 3)[3]
         sol = solve_product_form(t, z, SolverConfig(max_iterations=3))
         assert abs(sol.S - solve_profile(density_from_profile(t), z).S) < 1e-8
         # the stalled attempt's 3 iterations, then the 4-stage ladder's 11
@@ -568,11 +574,11 @@ class TestProductForm:
     def test_newton_point_below_the_axis_takes_the_damped_step(self):
         t = profile_from_steps([0.5, 1.5, 1.0], 16)
         z, damping = 1.6 + 0.01j, 0.5  # the direct stage is uncertified: half damping
-        v = solver._scalar_stage(t.values, z, 0j, damping, 1e-10, 2)[0]  # two Newton steps
+        v = solver._scalar_stage(run_sums(t), z, 0j, damping, 1e-10, 2)[0]  # two Newton steps
         q = t.values / (z + t.values * v)
         f = -q.mean()
         assert (v - (v - f) / (1.0 - (q * q).mean())).imag < 0  # the third Newton point
-        step = solver._scalar_stage(t.values, z, v, damping, 1e-10, 1)[0]
+        step = solver._scalar_stage(run_sums(t), z, v, damping, 1e-10, 1)[0]
         assert abs(step - ((1.0 - damping) * v + damping * f)) <= 1e-15 * abs(v)
         sol = solve_product_form(t, z)
         assert sol.residual <= 1e-10 and sol.iterations == 5  # still on the direct stage
@@ -617,8 +623,45 @@ class TestProductForm:
             sol = solve_product_form(t, z)
             assert sol.v.imag >= 0
             assert abs(sol.v) <= (1 + 1e-9) * float(t.values.mean()) / z.imag
-            # the transform identity S = -(1 + v^2)/z holds exactly
-            assert sol.S == -(1.0 + sol.v**2) / z
+            # S is the mean of g = -1/(z + t v) at v, and z S + 1 + v^2 = v (v - f(v))
+            assert abs(sol.S + np.mean(1.0 / (z + t.values * sol.v))) <= 1e-15 * abs(sol.S)
+            assert abs(z * sol.S + 1.0 + sol.v**2) <= abs(sol.v) * 1e-10
+
+    def test_transform_near_the_axis_does_not_divide_by_z(self):
+        # S = -(1 + v^2)/z divided v's stopping error by |z| and was up to 7.9e-7 off here
+        t = profile_from_steps([0.5, 1.5, 1.0], 128)
+        zs = 1j * np.geomspace(2e-5, 3e-4, 8)
+        reference = solve_curve(density_from_profile(t), zs, SolverConfig(tolerance=1e-14))
+        gaps = [abs(solve_product_form(t, z).S - s) for z, s in zip(zs, reference.S)]
+        assert max(gaps) <= 1e-9
+
+    @pytest.mark.parametrize("n", [8, 128, 512])
+    def test_run_sums_match_the_entry_sums(self, monkeypatch, n):
+        rng = np.random.default_rng(n)
+        tol = solver.DEFAULT_CONFIG.tolerance
+        for runs in range(1, solver._SCALAR_MAX_RUNS + 3):
+            levels = rng.uniform(0.1, 2.0, size=runs)
+            for mass in (1e-2, 1.0, 1e3):
+                t = profile_from_steps(levels * np.sqrt(mass) / levels.mean(), n)
+                for im in (1e-5, 1e-2, 1.0, 10.0):
+                    z = complex(rng.uniform(-2.5, 2.5) * np.sqrt(mass), im)
+                    monkeypatch.setattr(solver, "_SCALAR_MAX_RUNS", n)  # every profile summed by runs
+                    by_runs = solve_product_form(t, z)
+                    monkeypatch.setattr(solver, "_SCALAR_MAX_RUNS", 0)  # every profile summed by entries
+                    by_entries = solve_product_form(t, z)
+                    assert by_runs.iterations == by_entries.iterations, (runs, mass, z)
+                    assert abs(by_runs.S - by_entries.S) <= tol, (runs, mass, z)
+
+    def test_profiles_with_many_runs_take_the_numpy_sums(self, monkeypatch):
+        taken = []
+        for name in ("_run_sums", "_array_sums"):
+            sums = getattr(solver, name)
+            monkeypatch.setattr(solver, name, lambda *args, name=name, sums=sums: taken.append(name) or sums(*args))
+        for runs in (1, solver._SCALAR_MAX_RUNS, solver._SCALAR_MAX_RUNS + 1, 128):
+            t = profile_from_steps(np.linspace(0.5, 1.5, runs), 128)
+            assert len(t.runs) == runs
+            solve_product_form(t, 0.3 + 0.05j)
+        assert taken == ["_run_sums", "_run_sums", "_array_sums", "_array_sums"]
 
 
 @pytest.mark.parametrize(
@@ -671,28 +714,49 @@ class TestFactor:
     )
     def test_rebuilds_low_rank_densities(self, make, rank):
         b = make(np.random.default_rng(47))
-        u, w = solver._factor(b)
+        u, w = solver._factor(b.values, b.n)
         assert u.shape == (b.n, rank) and w.shape == (rank, b.n)
         assert np.abs(b.n * (u @ w) - b.values).max() <= 1e-12 * b.values.max()
 
     def test_remainder_below_the_cutoff_still_meets_tolerance(self):
         # rank 1 to within 1e-12: Newton steps in the factor's r unknowns alone
-        # would stall at the remainder's residual, just above the tolerance
-        v = np.full((5, 5), 1e-12)
+        # would stall at the remainder's residual, just above the tolerance;
+        # no two rows are equal, so the block factors all 5 of them
+        v = np.full((5, 5), 1e-12) * (1.0 - 0.01 * np.arange(5))[:, None]
         v[0, 0] = 1.0
         b = DensityGrid(5, v)
-        assert solver._factor(b)[0].shape == (5, 1)
+        assert solver._factor(b.values, b.n)[0].shape == (5, 1)
         curve = solve_curve(b, [0.2j])
         assert curve.residuals[0] <= 1e-10
         assert abs(curve.S[0] - solve_profile(b, 0.2j).S) <= 10 * 1e-10
 
     def test_full_rank_grid_is_not_factored(self):
-        assert solver._factor(full_rank_density(np.random.default_rng(53), 64, 1.0)) is None
+        b = full_rank_density(np.random.default_rng(53), 64, 1.0)
+        assert solver._factor(b.values, b.n) is None
 
     def test_zero_density_has_rank_zero(self):
-        u, w = solver._factor(constant_density(0.0, 8))
+        u, w = solver._factor(np.zeros((8, 8)), 8)
         assert u.shape == (8, 0) and w.shape == (0, 8)
         assert np.array_equal(solve_curve(constant_density(0.0, 8), [0.4 + 0.8j]).S, [-1.0 / (0.4 + 0.8j)])
+
+
+@pytest.mark.parametrize(
+    "b, size",
+    [
+        (constant_density(1.0, 256), 1),
+        (density_from_profile(profile_from_steps([0.7, 1.8, 1.1], 96)), 3),
+        (density_from_filter(MA3, 32), 32),
+    ],
+    ids=["constant", "steps", "ma3"],
+)
+def test_curve_factors_the_lumped_matrix(monkeypatch, b, size):
+    seen, factor = [], solver._factor
+    monkeypatch.setattr(solver, "_factor", lambda bvals, n: seen.append((bvals, n)) or factor(bvals, n))
+    solve_curve(b, [0.3 + 0.05j, 2j])
+    ((bvals, n),) = seen
+    assert bvals.shape == (size, size) and n == b.n
+    if size == b.n:  # no two rows equal: the lumped matrix is b itself, and so is its factor
+        assert np.array_equal(bvals, b.values)
 
 
 def block_density(levels, lengths):

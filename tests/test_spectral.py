@@ -269,6 +269,12 @@ class TestProfiles:
         with pytest.raises(InvalidInput):
             profile_from_density(grid)
 
+    def test_profile_runs_are_values_and_lengths_in_order(self):
+        t = ProfileFunction([1.0, 1.0, 2.0, 2.0, 2.0, 1.0, 0.0])
+        assert t.runs == ((1.0, 2), (2.0, 3), (1.0, 1), (0.0, 1))
+        assert all(type(tk) is float and type(mk) is int for tk, mk in t.runs)
+        assert ProfileFunction([3.0]).runs == ((3.0, 1),)
+
     def test_rank_one_mass_is_mean_squared(self):
         t = profile_from_steps([0.5, 2.0], 16)
         assert density_from_profile(t).mass == pytest.approx(float(t.values.mean()) ** 2)
@@ -403,7 +409,7 @@ VALUES = {
     "VolterraCoefficients": (lambda: VolterraCoefficients({((0, 0), (1, 0)): 1.0}), ("entries",)),
     "CovarianceTable": (lambda: CovarianceTable(1, np.diag([0.0, 1.0, 0.0])), ("radius", "gamma")),
     "DensityGrid": (lambda: DensityGrid(2, np.ones((2, 2))), ("n", "values", "mass")),
-    "ProfileFunction": (lambda: ProfileFunction(np.ones(4)), ("values", "mean", "max", "mean_square")),
+    "ProfileFunction": (lambda: ProfileFunction(np.ones(4)), ("values", "mean", "max", "mean_square", "runs")),
     "SolverConfig": (lambda: SolverConfig(tolerance=1e-8), ("tolerance", "max_iterations")),
     "ResolventProfile": (
         lambda: ResolventProfile(z=1j, g=np.full(4, 0.5j), pi=np.full(4, 0.5j), iterations=3, residual=1e-12),
