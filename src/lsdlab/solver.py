@@ -28,9 +28,12 @@ depth 1, accepting a mixed step only if it keeps Im pi >= 0; certified
 stages run the plain update, whose rate the certificate bounds.
 
 Rows of b equal to the row above give g and pi equal to that row's at every
-iterate, so the solver takes one unknown per run of equal consecutive rows:
-with K runs, the discretized equation is a K x K one whose matrix holds each
-run's first row of b with the columns of each run summed. A contour is solved
+iterate, and when b equals its reversal b[::-1, ::-1] bit for bit, as every
+model density does, the unique solution has g[N-1-i] = g[i]. So the solver
+takes one unknown per class of spectral._row_classes, a run of equal
+consecutive rows joined with its mirror run: with K classes, the
+discretized equation is a K x K one whose matrix holds each class's first
+row of b with the columns of each class summed. A contour is solved
 as one K x P block, a single point as a one-column block: every point is a
 column with its own height, damping and tolerance, from its mean-field
 start, and one iteration is one real matrix product with that K x K matrix
@@ -38,7 +41,7 @@ for the whole contour. When b/N = U W has low rank r, each column of
 solve_curve instead takes Newton steps with the r x r Jacobian
 I - W diag(g^2) U, U W the factor of the lumped K x K matrix; such an
 iteration adds one r x r solve per column. Its residual is still that of the
-full b: the max over runs is the max over rows.
+full b: the max over classes is the max over rows.
 
 The product form b = t(x) t(y) reduces to one scalar equation in v, with
 pi = t v. Its Newton steps take f(v) = -mean(t/(z + t v)) and f'(v) as one
@@ -54,7 +57,7 @@ import sys
 import numpy as np
 
 from .errors import InvalidInput, LsdlabError, NoConvergence
-from .spectral import _frozen, _Value
+from .spectral import _frozen, _row_classes, _Value
 from .stieltjes import StieltjesCurve, _upper_half_plane
 
 __all__ = [
@@ -279,11 +282,13 @@ def _factor(bvals, n):
 def _solve_block(b, zs, cfg, newton=False):
     """Solve every point of zs as one column of a K x P block fixed point.
 
-    The block has one row per run of equal consecutive rows of b, K in all
-    (K = N when no two neighbours are equal): its product is with the K x K
-    matrix of each run's first row with the columns of each run summed, S and
-    the Anderson inner products weight run k by its length m_k, and the
-    residual, a max over runs, is the residual against the full b. Each
+    The block has one row per class of spectral._row_classes, K in all: a run
+    of equal consecutive rows of b, joined with its mirror run when b equals
+    its reversal (K = N when no two neighbours are equal and b does not
+    fold). Its product is with the K x K matrix of each class's first row
+    with the columns of each class summed, S and the Anderson inner products
+    weight class k by its size m_k, and the residual, a max over classes, is
+    the residual against the full b. Each
     iteration costs one real matrix product for all columns. A column
     starts each of its point's attempts from pi0 = rowmean(b) S_sc(z; B)
     at the attempt's first height, warm-starts the attempt's later stages
@@ -295,16 +300,14 @@ def _solve_block(b, zs, cfg, newton=False):
     damped update. The Herglotz postcondition is checked once, on every
     point. Returns per point of zs its S, column-iterations over all
     attempts, final residual, stage count and last stage's residuals, then
-    (g, pi) of the contour's first point, expanded to the N rows: a
-    one-column call's profile.
+    (g, pi) of the contour's first point, expanded to the N rows through the
+    class labels: a one-column call's profile.
     """
     n, mass = b.n, b.mass
-    starts = np.flatnonzero(np.r_[True, (b.values[1:] != b.values[:-1]).any(axis=1)])
-    lengths = np.diff(starts, append=n)
-    runs = len(starts)
-    # run lengths as a column of weights, 1.0 for every row when no neighbours are equal
-    m = lengths.astype(float)[:, None]
-    bvals = np.add.reduceat(b.values[starts], starts, axis=1)
+    labels, sizes, bvals = _row_classes(b.values)
+    classes = len(sizes)
+    # class sizes as a column of weights, 1.0 for every row when no two rows share a class
+    m = sizes.astype(float)[:, None]
     rowmean = bvals.sum(axis=1) / n
     factor = _factor(bvals, n) if newton else None
     newton = factor is not None
@@ -312,7 +315,7 @@ def _solve_block(b, zs, cfg, newton=False):
         U, W = factor
         r = U.shape[1]
         # row i r + j of jac is W[i, :] U[:, j], so jac @ g^2 stacks W diag(g^2) U
-        jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, runs)
+        jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, classes)
         eye = np.eye(r)
         # a Newton point is finite with Im >= 0 when its (re, im) parts lie in [low, big]
         big = np.finfo(float).max
@@ -347,8 +350,8 @@ def _solve_block(b, zs, cfg, newton=False):
     mixed = np.zeros(size, dtype=bool)  # stage outside the certified region
     # K x P blocks of pi and of the previous step f and update G of the Anderson
     # mixing (or the Newton point); g and pi of each point as its column leaves
-    pi, fp, gp = np.zeros((3, runs, size), dtype=complex)
-    gs, pis = np.empty((2, size, runs), dtype=complex)
+    pi, fp, gp = np.zeros((3, classes, size), dtype=complex)
+    gs, pis = np.empty((2, size, classes), dtype=complex)
     it = 0
 
     def start_stage(k):
@@ -368,8 +371,8 @@ def _solve_block(b, zs, cfg, newton=False):
     while point.size:
         if width != point.size:
             width = point.size
-            g, pif, w, s = np.empty((4, runs, width), dtype=complex)
-            absw = np.empty((runs, width))
+            g, pif, w, s = np.empty((4, classes, width), dtype=complex)
+            absw = np.empty((classes, width))
             # the same blocks as float64 (re, im) pairs: numpy adds these, bit for bit, about
             # twice as fast as complex arrays, and matmul takes them as real K x 2P matrices
             pi_r, g_r, pif_r, w_r, s_r, fp_r, gp_r = (a.view(np.float64) for a in (pi, g, pif, w, s, fp, gp))
@@ -409,8 +412,8 @@ def _solve_block(b, zs, cfg, newton=False):
             take = ((lo >= low) & (hi <= big)).all(axis=1)
         elif mixing:
             # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from
-            # the step f = G - pi (in w) and df = f - f_prev (in fp), each run's
-            # row weighted by its length as the N rows it stands for would be
+            # the step f = G - pi (in w) and df = f - f_prev (in fp), each class's
+            # row weighted by its size as the N rows it stands for would be
             np.subtract(pif_r, pi_r, out=w_r)
             w *= damp
             np.subtract(w_r, fp_r, out=fp_r)
@@ -474,15 +477,15 @@ def _solve_block(b, zs, cfg, newton=False):
     _check_herglotz(zs, gs, pis)
     S = (gs * m.T).sum(axis=1) / n
     stages = [len(stages) for stages in plan]
-    profile = np.repeat(gs[0], lengths), np.repeat(pis[0], lengths)
+    profile = gs[0][labels], pis[0][labels]
     return S, count, [trace[-1] for trace in history], stages, history, profile
 
 
 def solve_profile(b, z, cfg=None):
     """Solve the discretized self-consistent equation at one point.
 
-    A one-column block on the plain map in one unknown per run of equal
-    rows (never factored); g and pi come back on all N rows. Its
+    A one-column block on the plain map in one unknown per class of rows
+    (never factored); g and pi come back on all N rows. Its
     ``residual_history`` is the residual trace of the final stage, recorded
     for every point.
     """
@@ -515,7 +518,8 @@ def solve_curve(b, contour, cfg=None):
     A density whose K x K lumped matrix has rank r <= _NEWTON_MAX_RANK (one
     _factor of it per call) is solved by Newton steps in r unknowns, whose
     iterations each cost a matrix product with that matrix plus an r x r
-    solve; other densities run the plain map on it.
+    solve; other densities run the plain map on it. A density equal to its
+    reversal folds onto mirror classes first, which about halves that rank.
     Points come back in contour order. NoConvergence names the first point
     to fail, ties going to the earlier point of the contour.
     """

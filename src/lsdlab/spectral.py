@@ -5,6 +5,12 @@ N-point axis sits at x_i = (i + 1/2)/N. Periodic trigonometric sums therefore
 never sample duplicate endpoints, and midpoint quadrature integrates a
 band-limited density exactly once N exceeds twice its bandwidth.
 
+Since x_{N-1-i} = 1 - x_i, a real model's density b(1 - x, 1 - y) = b(x, y)
+makes the grid centrosymmetric: values[N-1-i, N-1-j] = values[i, j]. The
+Fourier sums compute the first half of the grid and mirror it, so filter,
+covariance and symmetrized densities keep this exactly, bit for bit, and
+_row_classes lets the solver fold such a grid onto its mirror pairs.
+
 Field models supported: finite moving-average filters of i.i.d. innovations,
 sparse second-order (bilinear) expansions, and rank-one product profiles.
 """
@@ -255,6 +261,38 @@ class ProfileFunction(_Value):
         return self.values.size
 
 
+def _row_classes(values):
+    """The rows of an N x N grid in classes whose g and pi agree at every iterate, and the grid lumped by them.
+
+    A row equal to the row above shares its g and pi, so every run of equal
+    consecutive rows is one class. When values equals its reversal
+    values[::-1, ::-1] bit for bit, as the model densities do
+    (b(1 - x, 1 - y) = b(x, y) on the midpoint grid), the mirror of run k of
+    K is run K - 1 - k, and the solution, unique in the upper half-plane, has
+    g[N-1-i] = g[i]: the two runs form class k, and a run that is its own
+    mirror (the middle row of an odd N with no equal neighbours, say) stays
+    alone. Returns (labels, sizes, lumped): each row's class, numbered by
+    first row, each class's size, and the C x C matrix of each class's first
+    row with the columns of each class summed. Lumping is exact because a
+    mirror-closed class has the same column sums in row i as in row N-1-i.
+    Runs are lumped by np.add.reduceat, and a fold adds each mirror run's
+    column sum to its partner's.
+    """
+    starts = np.flatnonzero(np.r_[True, (values[1:] != values[:-1]).any(axis=1)])
+    sizes = np.diff(starts, append=len(values))
+    runs = len(starts)
+    labels = np.repeat(np.arange(runs), sizes)
+    lumped = np.add.reduceat(values[starts], starts, axis=1)
+    # the last row against the first one reversed first: a grid that does not fold mostly differs there
+    if runs > 1 and np.array_equal(values[-1], values[0, ::-1]) and np.array_equal(values, values[::-1, ::-1]):
+        classes = (runs + 1) // 2
+        paired = np.arange(classes) < runs // 2  # false for a middle run, its own mirror
+        labels = np.minimum(labels, runs - 1 - labels)
+        # class k's entry: run k's plus, unless run k is its own mirror, run K-1-k's
+        sizes, lumped = (a[..., :classes] + a[..., : -classes - 1 : -1] * paired for a in (sizes, lumped[:classes]))
+    return labels, sizes, lumped
+
+
 def covariance_from_filter(a, radius):
     """Autocovariance of the moving average: gamma[k,l] = sum_{u,v} a[u,v] a[u+k,v+l].
 
@@ -278,11 +316,22 @@ def covariance_from_filter(a, radius):
 
 
 def _fourier(c, radius, n):
-    """sum_{k,l} c[k + radius, l + radius] exp(-2 pi i (x_i k + y_j l)) on the n x n midpoint grid."""
+    """sum_{k,l} c[k + radius, l + radius] exp(-2 pi i (x_i k + y_j l)) on the n x n midpoint grid.
+
+    For real c, entry (n-1-i, n-1-j) is the conjugate of entry (i, j), since
+    x_{n-1-i} = 1 - x_i. Only the first ceil(n/2) rows are summed; the rest
+    of the grid, the second half of an odd n's middle row included, is
+    filled from them, conjugated in reverse order, so the grid has that
+    symmetry exactly, not only up to rounding.
+    """
     if n < 2:
         raise InvalidInput("grid size must be >= 2")
     phases = np.exp(-2j * np.pi * np.outer(midpoints(n), np.arange(-radius, radius + 1)))
-    return phases @ c @ phases.T
+    amp = np.empty((n, n), dtype=complex)
+    amp[: (n + 1) // 2] = phases[: (n + 1) // 2] @ c @ phases.T
+    flat, half = amp.reshape(-1), n * n // 2
+    flat[n * n - half :] = flat[:half][::-1].conj()
+    return amp
 
 
 def density_from_filter(a, n):

@@ -177,6 +177,10 @@ class TestSpectrum:
     def test_diagonal_matrix(self):
         assert np.allclose(spectrum(np.diag([1.0, 2.0, 3.0])).eigenvalues, [1, 2, 3])
 
+    def test_order_is_the_eigenvalue_count(self):
+        spec = spectrum(np.diag([3.0, 1.0, 2.0, 0.5]))
+        assert spec.n == 4 and spec.eigenvalues.tolist() == [0.5, 1.0, 2.0, 3.0]
+
     def test_swap_matrix(self):
         eigs = spectrum(np.array([[0.0, 1.0], [1.0, 0.0]])).eigenvalues
         assert np.allclose(eigs, [-1.0, 1.0])

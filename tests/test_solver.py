@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from lsdlab import (
     StieltjesCurve,
     contraction_certificate,
     continuity_bound,
+    covariance_from_volterra,
+    density_from_covariance,
     density_from_filter,
     density_from_profile,
     empirical_curve,
@@ -22,12 +25,14 @@ from lsdlab import (
     solve_curve,
     solve_product_form,
     solve_profile,
+    symmetrize_density,
     truncate_filter,
 )
 from lsdlab import solver
-from lsdlab.spectral import FilterCoefficients, ProfileFunction
+from lsdlab.io import read_density_csv, write_density_csv
+from lsdlab.spectral import FilterCoefficients, ProfileFunction, _row_classes
 
-from test_spectral import random_filter
+from test_spectral import BILINEAR, SKEW, random_filter
 
 
 MA3 = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
@@ -508,9 +513,12 @@ class TestHerglotzCheck:
 
     def test_each_point_is_checked_with_its_own_g_and_pi(self, monkeypatch):
         # the columns leave at Im z = 2.0, then 0.5, then 0.02, out of contour order;
-        # no two rows of b are equal, so every row is its own unknown
+        # no two rows of b are equal, so every mirror pair {i, N-1-i} is its own unknown,
+        # and each point's 16 rows expand to 32 through the class labels
         b = density_from_filter(MA3, 32)
         assert (b.values[1:] != b.values[:-1]).any(axis=1).all()
+        labels = _row_classes(b.values)[0]
+        assert np.array_equal(labels, np.minimum(np.arange(32), 31 - np.arange(32)))
         rows = []
         check = solver._check_herglotz
         monkeypatch.setattr(solver, "_check_herglotz", lambda z, g, pi: rows.extend(zip(z, g, pi)) or check(z, g, pi))
@@ -520,6 +528,7 @@ class TestHerglotzCheck:
         assert len(rows) == 3
         for z, g, pi in rows:
             (k,) = np.flatnonzero(contour == z)
+            g, pi = g[labels], pi[labels]
             np.testing.assert_allclose(pi, b.values @ g / b.n, rtol=0, atol=1e-12)
             assert np.abs(g + 1.0 / (z + pi)).max() <= 1.01 * solver.DEFAULT_CONFIG.tolerance
             assert g.mean() == pytest.approx(curve.S[k], abs=1e-13)
@@ -745,9 +754,10 @@ class TestFactor:
     [
         (constant_density(1.0, 256), 1),
         (density_from_profile(profile_from_steps([0.7, 1.8, 1.1], 96)), 3),
-        (density_from_filter(MA3, 32), 32),
+        (density_from_filter(MA3, 32), 16),
+        (DensityGrid(32, np.roll(density_from_filter(MA3, 32).values, 1, axis=(0, 1))), 32),
     ],
-    ids=["constant", "steps", "ma3"],
+    ids=["constant", "steps", "ma3", "ma3-shifted"],
 )
 def test_curve_factors_the_lumped_matrix(monkeypatch, b, size):
     seen, factor = [], solver._factor
@@ -755,8 +765,10 @@ def test_curve_factors_the_lumped_matrix(monkeypatch, b, size):
     solve_curve(b, [0.3 + 0.05j, 2j])
     ((bvals, n),) = seen
     assert bvals.shape == (size, size) and n == b.n
-    if size == b.n:  # no two rows equal: the lumped matrix is b itself, and so is its factor
+    if size == b.n:  # no two rows equal and no fold: the lumped matrix is b itself, and so is its factor
         assert np.array_equal(bvals, b.values)
+    elif size == b.n // 2:  # no two rows equal, folded: class i is the mirror pair {i, N-1-i}
+        assert np.array_equal(bvals, b.values[:size, :size] + b.values[:size, : size - 1 : -1])
 
 
 def block_density(levels, lengths):
@@ -806,3 +818,96 @@ class TestRuns:
             assert one.iterations == other.iterations
             assert abs(one.S - other.S) <= 1e-12
             assert np.abs(one.g[perm] - other.g).max() <= 1e-12 * np.abs(other.g).max()
+
+
+def ar_density(a, n, reach=24):
+    """The 2-D AR density 1/|1 - a e(x) - a e(y)|^2 through its moving average, cut at total lag reach."""
+    c = np.zeros((2 * reach + 1, 2 * reach + 1))
+    for u, v in itertools.product(range(reach + 1), repeat=2):
+        if u + v <= reach:
+            c[reach + u, reach + v] = a ** (u + v) * math.comb(u + v, u)
+    return density_from_filter(FilterCoefficients(reach, c), n)
+
+
+def fold_cases(tmp_path):
+    """Named reversal-symmetric grids from every density function, and one read back from density.csv."""
+    rng = np.random.default_rng(97)
+    path = tmp_path / "density.csv"
+    write_density_csv(path, density_from_filter(SKEW, 24))
+    return [
+        ("ma3-32", density_from_filter(MA3, 32)),
+        ("ma3-33", density_from_filter(MA3, 33)),
+        ("filter-16", density_from_filter(filter_of_order(rng, 2), 16)),
+        ("filter-33", density_from_filter(filter_of_order(rng, 3), 33)),
+        ("bilinear-16", density_from_covariance(covariance_from_volterra(BILINEAR), 16)),
+        ("bilinear-31", density_from_covariance(covariance_from_volterra(BILINEAR), 31)),
+        ("symmetrized-16", symmetrize_density(density_from_filter(SKEW, 16))),
+        ("symmetrized-31", symmetrize_density(density_from_filter(SKEW, 31))),
+        ("ar-32", ar_density(0.45, 32)),
+        ("ar-64", ar_density(0.45, 64)),
+        ("density.csv", read_density_csv(path)),
+    ]
+
+
+def unfolded(b, rng):
+    """P b P^T for a seeded permutation P under which no two neighbouring rows are equal and nothing folds."""
+    for _ in range(100):
+        perm = rng.permutation(b.n)
+        v = b.values[np.ix_(perm, perm)]
+        if (v[1:] != v[:-1]).any(axis=1).all() and not np.array_equal(v, v[::-1, ::-1]):
+            return DensityGrid(b.n, v), perm
+    raise AssertionError("no permutation found")
+
+
+class TestFold:
+    """A grid equal to its reversal is solved in one unknown per mirror pair of runs."""
+
+    def test_folded_and_unfolded_solves_agree(self, tmp_path):
+        tol = solver.DEFAULT_CONFIG.tolerance
+        rng = np.random.default_rng(2025)
+        differ, changed_rule = [], []
+        for name, b in fold_cases(tmp_path):
+            labels, sizes, lumped = _row_classes(b.values)
+            assert np.array_equal(b.values, b.values[::-1, ::-1]), name
+            # every class is closed under i -> N-1-i, so the grid folds to at most ceil(N/2) rows
+            assert np.array_equal(labels, labels[::-1]) and len(sizes) <= (b.n + 1) // 2, name
+            shuffled, perm = unfolded(b, rng)
+            assert len(_row_classes(shuffled.values)[1]) == b.n, name
+            scale = np.sqrt(b.mass + 1.0)
+            zs = (np.linspace(-3.0, 3.0, 7)[:, None] * scale + 1j * np.array([1e-3, 0.05, 1.0])).ravel()
+            folded, full = solve_curve(b, zs), solve_curve(shuffled, zs)
+            assert np.abs(folded.S - full.S).max() <= tol, name
+            if (solver._factor(lumped, b.n) is None) != (solver._factor(shuffled.values, b.n) is None):
+                changed_rule.append(name)
+            if not np.array_equal(folded.iterations, full.iterations):
+                differ.append((name, int(folded.iterations.sum()), int(full.iterations.sum())))
+            for z in zs[::5]:
+                one, other = solve_profile(b, z), solve_profile(shuffled, z)
+                assert one.iterations == other.iterations, (name, z)
+                assert abs(one.S - other.S) <= 1e-12, (name, z)
+                assert np.abs(one.g[perm] - other.g).max() <= 1e-12 * np.abs(other.g).max(), (name, z)
+        # iterations differ only where the fold halves the rank below _NEWTON_MAX_RANK, so the
+        # folded grid takes Newton steps and the unfolded one the plain map; there the fold saves
+        assert [d[0] for d in differ] == changed_rule == ["ar-64"], differ
+        assert all(one < other for _, one, other in differ), differ
+
+    def test_odd_grid_expands_its_middle_row(self):
+        b = density_from_filter(MA3, 33)
+        labels, sizes, _ = _row_classes(b.values)
+        assert sizes[labels[16]] == 1 and (np.delete(sizes, labels[16]) == 2).all()
+        profile = solve_profile(b, 0.2 + 0.1j)
+        assert profile.g.shape == (33,)
+        assert np.array_equal(profile.g, profile.g[::-1]) and np.array_equal(profile.pi, profile.pi[::-1])
+        np.testing.assert_allclose(profile.pi, b.values @ profile.g / b.n, rtol=0, atol=1e-12)
+
+    def test_one_ulp_off_solves_unfolded(self):
+        v = density_from_filter(MA3, 16).values.copy()
+        v[2, 9] = np.nextafter(v[2, 9], np.inf)
+        b = DensityGrid(16, v)
+        seen, factor = [], solver._factor
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_factor", lambda bvals, n: seen.append(bvals.shape) or factor(bvals, n))
+            curve = solve_curve(b, [0.3 + 0.05j, 2j])
+        assert seen == [(16, 16)]
+        exact = solve_curve(density_from_filter(MA3, 16), [0.3 + 0.05j, 2j])
+        assert np.abs(curve.S - exact.S).max() <= 1e-12

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 import numpy as np
 import pytest
 
+from lsdlab import spectral
 from lsdlab import (
     CovarianceTable,
     DensityGrid,
@@ -36,6 +37,13 @@ from lsdlab import (
 
 DELTA = FilterCoefficients.from_entries({(0, 0): 1.0})
 TWO_TAP = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0})
+# a filter whose density is not exchange-symmetric
+SKEW = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 0.7, (0, 2): -0.4, (1, 1): 0.3})
+# pairs of entries one gap apart, so the covariance has lags besides 0 and the density is not flat
+BILINEAR = VolterraCoefficients(
+    {((0, 0), (1, 0)): 1.0, ((1, 0), (2, 0)): 0.5, ((0, 1), (1, 1)): -0.7,
+     ((0, 0), (0, 1)): 0.4, ((1, 1), (1, 2)): 0.3, ((2, 1), (1, 1)): 0.6}
+)
 
 
 def random_filter(rng, max_m=4, lo=0.5, hi=2.0):
@@ -77,6 +85,18 @@ class TestCovarianceFromFilter:
             for l in range(-5, 6):
                 if abs(k) > 2 or abs(l) > 2:
                     assert table.gamma[k + R, l + R] == 0.0
+
+
+class TestFilterFromEntries:
+    def test_empty_entries_give_the_zero_filter(self):
+        a = FilterCoefficients.from_entries({})
+        assert a.m == 0 and np.array_equal(a.coeffs, [[0.0]]) and a.sum_squares == 0.0
+        assert density_from_filter(a, 4).mass == 0.0
+
+    def test_entries_fill_the_square_of_their_largest_lag(self):
+        a = FilterCoefficients.from_entries({(0, 0): 1.0, (-2, 1): 0.5})
+        assert a.m == 2 and a.coeffs[0, 3] == 0.5 and a.coeffs[2, 2] == 1.0
+        assert a.sum_squares == 1.25
 
 
 class TestDensityFromFilter:
@@ -122,6 +142,12 @@ class TestCovarianceFromVolterra:
         bv = VolterraCoefficients({})
         table = covariance_from_volterra(bv, 3)
         assert np.array_equal(table.gamma, np.zeros((7, 7)))
+
+    def test_zero_coefficients_are_dropped(self):
+        bv = VolterraCoefficients({((0, 0), (1, 0)): 1.0, ((2, 0), (0, 1)): 0.0})
+        assert bv.entries == {((0, 0), (1, 0)): 1.0}
+        assert bv.support_radius == 1
+        assert bv == VolterraCoefficients({((0, 0), (1, 0)): 1.0})
 
     def test_point_symmetry(self):
         bv = VolterraCoefficients(
@@ -278,6 +304,87 @@ class TestProfiles:
     def test_rank_one_mass_is_mean_squared(self):
         t = profile_from_steps([0.5, 2.0], 16)
         assert density_from_profile(t).mass == pytest.approx(float(t.values.mean()) ** 2)
+
+
+class TestMirrorSymmetry:
+    """A real model gives b(1 - x, 1 - y) = b(x, y), and the density functions keep it bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 31, 32, 129])
+    def test_filter_density_equals_its_reversal(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            v = density_from_filter(random_filter(rng), n).values
+            assert np.array_equal(v, v[::-1, ::-1])
+
+    @pytest.mark.parametrize("n", [2, 7, 16, 33])
+    def test_covariance_densities_equal_their_reversal(self, n):
+        rng = np.random.default_rng(100 + n)
+        for _ in range(5):
+            a = random_filter(rng, max_m=2)
+            v = density_from_covariance(covariance_from_filter(a, 2 * a.m), n).values
+            assert np.array_equal(v, v[::-1, ::-1])
+        v = density_from_covariance(covariance_from_volterra(BILINEAR), n).values
+        assert np.array_equal(v, v[::-1, ::-1]) and len(np.unique(v)) > 1
+
+    def test_symmetrized_density_equals_its_reversal(self):
+        for n in (9, 32):
+            b = density_from_filter(SKEW, n)
+            assert not b.is_symmetric()
+            v = symmetrize_density(b).values
+            assert np.array_equal(v, v[::-1, ::-1]) and np.array_equal(v, v.T)
+
+    def test_fourier_sum_agrees_with_the_full_product(self):
+        rng = np.random.default_rng(5)
+        for n in (5, 16):
+            a = random_filter(rng, max_m=3)
+            phases = np.exp(-2j * np.pi * np.outer((np.arange(n) + 0.5) / n, np.arange(-a.m, a.m + 1)))
+            amp = spectral._fourier(a.coeffs, a.m, n)
+            np.testing.assert_allclose(amp, phases @ a.coeffs @ phases.T, rtol=0, atol=1e-13)
+
+
+class TestRowClasses:
+    """spectral._row_classes: runs of equal rows, joined with mirror pairs when the grid is centrosymmetric."""
+
+    def test_mirror_pairs_fold(self):
+        b = density_from_filter(TWO_TAP, 8)
+        labels, sizes, lumped = spectral._row_classes(b.values)
+        assert labels.tolist() == [0, 1, 2, 3, 3, 2, 1, 0]
+        assert sizes.tolist() == [2, 2, 2, 2]
+        # rows 3 and 4 are equal, a run that is its own mirror; every other row pairs with its mirror
+        assert np.array_equal(lumped, b.values[:4, :4] + b.values[:4, :3:-1])
+
+    def test_odd_grid_has_a_singleton_middle_class(self):
+        a = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
+        labels, sizes, lumped = spectral._row_classes(density_from_filter(a, 7).values)
+        assert labels.tolist() == [0, 1, 2, 3, 2, 1, 0]
+        assert sizes.tolist() == [2, 2, 2, 1]
+        assert lumped.shape == (4, 4)
+
+    def test_one_ulp_off_centrosymmetric_does_not_fold(self):
+        a = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
+        v = density_from_filter(a, 16).values.copy()
+        v[3, 5] = np.nextafter(v[3, 5], np.inf)
+        labels, sizes, lumped = spectral._row_classes(v)
+        assert labels.tolist() == list(range(16)) and sizes.tolist() == [1] * 16
+        assert np.array_equal(lumped, v)
+
+    def test_runs_and_their_mirrors_form_one_class(self):
+        # rows in runs of 2, 3, 1, 3, 2: run k and run 4 - k are mirrors, the middle run stays alone
+        t = ProfileFunction(np.repeat([1.0, 2.0, 0.5, 2.0, 1.0], [2, 3, 1, 3, 2]))
+        labels, sizes, lumped = spectral._row_classes(density_from_profile(t).values)
+        assert labels.tolist() == [0, 0, 1, 1, 1, 2, 1, 1, 1, 0, 0]
+        assert sizes.tolist() == [4, 6, 1]
+        assert np.array_equal(lumped, np.outer([1.0, 2.0, 0.5], [4.0, 12.0, 0.5]))
+
+    def test_without_a_fold_the_classes_are_the_runs(self):
+        t = profile_from_steps([0.5, 2.0, 1.0], 12)
+        v = density_from_profile(t).values
+        labels, sizes, lumped = spectral._row_classes(v)
+        assert labels.tolist() == [0] * 4 + [1] * 4 + [2] * 4 and sizes.tolist() == [4, 4, 4]
+        assert np.array_equal(lumped, np.add.reduceat(v[[0, 4, 8]], [0, 4, 8], axis=1))
+        # a constant grid is one run, which already holds every mirror pair
+        labels, sizes, lumped = spectral._row_classes(np.full((5, 5), 2.0))
+        assert labels.tolist() == [0] * 5 and sizes.tolist() == [5] and lumped.tolist() == [[10.0]]
 
 
 class TestInvariantValidation:
