@@ -40,8 +40,9 @@ start, and one iteration is one real matrix product with that K x K matrix
 for the whole contour. When b/N = U W has low rank r, each column of
 solve_curve instead takes Newton steps with the r x r Jacobian
 I - W diag(g^2) U, U W the factor of the lumped K x K matrix; such an
-iteration adds one r x r solve per column. Its residual is still that of the
-full b: the max over classes is the max over rows.
+iteration adds one r x r solve per column, and at r = 1 (a product profile,
+a constant grid) one division, with no LAPACK call. Its residual is still
+that of the full b: the max over classes is the max over rows.
 
 The product form b = t(x) t(y) reduces to one scalar equation in v, with
 pi = t v. Its Newton steps take f(v) = -mean(t/(z + t v)) and f'(v) as one
@@ -279,6 +280,22 @@ def _factor(bvals, n):
         rest -= np.outer(us[-1], ws[-1])
 
 
+def _newton_solve(jacs, rhs):
+    """y = J^-1 rhs of every column, from the P x r x r stack of J and the r x P rhs.
+
+    At r = 1 this is one division per column, the product form's step
+    (v - f)/(1 - f') in the lumped unknown, with no LAPACK call; a J of 0 or
+    NaN gives a non-finite y there, as a singular J anywhere in the stack
+    gives every column at r >= 2.
+    """
+    if len(rhs) == 1:
+        return rhs / jacs.reshape(rhs.shape)
+    try:
+        return np.ascontiguousarray(np.linalg.solve(jacs, rhs.T[:, :, None])[:, :, 0].T)
+    except np.linalg.LinAlgError:
+        return np.full(rhs.shape, np.nan, dtype=complex)
+
+
 def _solve_block(b, zs, cfg, newton=False):
     """Solve every point of zs as one column of a K x P block fixed point.
 
@@ -295,7 +312,8 @@ def _solve_block(b, zs, cfg, newton=False):
     and leaves the block once the point converges; the points of one height
     share their attempts, and the ladder is built when the first of them stalls in its direct stage.
     ``newton`` factors the K x K matrix with _factor and, when its rank is
-    at most _NEWTON_MAX_RANK, switches every column to Newton steps; an
+    at most _NEWTON_MAX_RANK, switches every column to Newton steps, each
+    one r x r solve per column (_newton_solve; one division at r = 1); an
     iteration in which every column accepts its Newton point skips the
     damped update. The Herglotz postcondition is checked once, on every
     point. Returns per point of zs its S, column-iterations over all
@@ -399,14 +417,12 @@ def _solve_block(b, zs, cfg, newton=False):
             jacs = eye - (jac @ s_r).view(complex).T.reshape(width, r, r)
             np.subtract(pi_r, pif_r, out=w_r)
             w *= s
-            rhs = (W @ w_r).view(complex).T[:, :, None]
-            try:
-                y = np.ascontiguousarray(np.linalg.solve(jacs, rhs)[:, :, 0].T)
-            except np.linalg.LinAlgError:  # a singular J anywhere in the stack
-                y = np.full((r, width), np.nan, dtype=complex)
-            # np.dot, not matmul: at rank 1 numpy's matmul skips BLAS and took 4x as long
-            np.dot(U, y.view(np.float64), out=fp_r)
-            np.subtract(pif_r, fp_r, out=fp_r)
+            # a J of 0 or an overflow gives a non-finite point, which the test below rejects
+            with np.errstate(all="ignore"):
+                y = _newton_solve(jacs, (W @ w_r).view(complex))
+                # np.dot, not matmul: at rank 1 numpy's matmul skips BLAS and took 4x as long
+                np.dot(U, y.view(np.float64), out=fp_r)
+                np.subtract(pif_r, fp_r, out=fp_r)
             # a column whose Newton point is not finite or leaves Im pi >= 0 keeps G
             lo, hi = (a.reshape(width, 2) for a in (fp_r.min(axis=0), fp_r.max(axis=0)))
             take = ((lo >= low) & (hi <= big)).all(axis=1)
@@ -518,8 +534,9 @@ def solve_curve(b, contour, cfg=None):
     A density whose K x K lumped matrix has rank r <= _NEWTON_MAX_RANK (one
     _factor of it per call) is solved by Newton steps in r unknowns, whose
     iterations each cost a matrix product with that matrix plus an r x r
-    solve; other densities run the plain map on it. A density equal to its
-    reversal folds onto mirror classes first, which about halves that rank.
+    solve, one division at r = 1; other densities run the plain map on it.
+    A density equal to its reversal folds onto mirror classes first, which
+    about halves that rank.
     Points come back in contour order. NoConvergence names the first point
     to fail, ties going to the earlier point of the contour.
     """

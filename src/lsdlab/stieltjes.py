@@ -2,8 +2,15 @@
 
 A transform sampled on a horizontal line Im z = eps inverts to the
 eps-smoothed density Im S(x + i eps) / pi, which is the target density
-convolved with a Cauchy kernel of scale eps. Comparisons in this package are
-mollified-vs-mollified at a common eps, so the smoothing bias cancels.
+convolved with a Cauchy kernel of scale eps. A solved curve and the
+empirical_curve of eigenvalues on one contour both invert through
+invert_to_distribution with that smoothing, so the bias cancels between
+them; the acceptance criteria that compare with Monte Carlo do so. It does
+not cancel between a solved table (``lsdlab solve``'s distribution.csv) and
+an eigenvalue histogram (``lsdlab simulate``'s esd.csv), as ``lsdlab
+compare`` of the two has it: only the solved one is smoothed. On a constant
+density at the README contour (Im z = 0.05) its density is 0.048 off the
+semicircle's at mass 1 and 0.022 off at mass 2.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from lsdlab import (
 )
 from lsdlab import solver
 from lsdlab.io import read_density_csv, write_density_csv
-from lsdlab.spectral import FilterCoefficients, ProfileFunction, _row_classes
+from lsdlab.spectral import FilterCoefficients, ProfileFunction, _row_classes, midpoints
 
 from test_spectral import BILINEAR, SKEW, random_filter
 
@@ -439,7 +440,7 @@ class TestSolveCurve:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        b = step_density([0.5, 1.5, 1.0], 32)
+        b = density_from_filter(MA3, 32)  # rank 2 after the fold, so J is solved by LAPACK
         zs = np.array([2j, 0.5 + 3j])  # certified: the damped update alone converges
         plain = solver._solve_block(b, zs, solver.DEFAULT_CONFIG)
         near, cfg = [0.5 + 0.05j], SolverConfig(max_iterations=5)
@@ -451,6 +452,48 @@ class TestSolveCurve:
         assert np.array_equal(curve.iterations, plain[1])
         with pytest.raises(NoConvergence):
             solve_curve(b, near, cfg)
+
+    def test_zero_rank_one_jacobian_falls_back_to_the_damped_update(self, monkeypatch):
+        newton_solve = solver._newton_solve
+
+        def zero(jacs, rhs):
+            assert len(rhs) == 1
+            return newton_solve(np.zeros_like(jacs), rhs)
+
+        b = step_density([0.5, 1.5, 1.0], 32)
+        zs = np.array([2j, 0.5 + 3j])
+        plain = solver._solve_block(b, zs, solver.DEFAULT_CONFIG)
+        near, cfg = [0.5 + 0.05j], SolverConfig(max_iterations=5)
+        assert solve_curve(b, near, cfg).residuals[0] <= 1e-10
+        monkeypatch.setattr(solver, "_newton_solve", zero)
+        # rhs / 0 is not finite in every column, and the division warns of nothing
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = solve_curve(b, zs)
+            assert np.array_equal(curve.S, plain[0])
+            assert np.array_equal(curve.iterations, plain[1])
+            with pytest.raises(NoConvergence):
+                solve_curve(b, near, cfg)
+
+    def test_rank_one_solves_never_call_lapack(self, monkeypatch):
+        def lapack(*args):
+            raise AssertionError("np.linalg.solve called on a rank-one density")
+
+        monkeypatch.setattr(np.linalg, "solve", lapack)
+        x = midpoints(64)
+        for t, iterations in [
+            (profile_from_steps([0.5, 1.5, 1.0], 32), [4, 5, 4, 4, 5, 4, 4, 4, 3]),
+            (profile_from_steps([2.0, 0.25], 48), [8, 5, 5, 5, 5, 8, 5, 5, 4]),
+            (ProfileFunction(np.full(16, 0.8)), [1] * 9),  # a constant grid, K = 1
+            (ProfileFunction(1.0 + 0.5 * np.sin(2 * np.pi * x) + x), [3, 4, 4, 4, 4, 3, 3, 3, 3]),  # K = 64
+        ]:
+            b = density_from_profile(t)
+            root = np.sqrt(b.mass)
+            zs = np.concatenate([np.linspace(-2.5, 2.5, 6) * root + 0.02j, 0.3 * root + 1j * np.geomspace(1e-3, 2.0, 3) * root])
+            curve = solve_curve(b, zs)
+            assert curve.iterations.tolist() == iterations
+            for z, s in zip(zs, curve.S):
+                assert abs(s - solve_product_form(t, z).S) <= 1e-9
 
     def test_rejects_bad_contour(self):
         b = constant_density(1.0)
