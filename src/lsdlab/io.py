@@ -204,48 +204,40 @@ def read_keyvalue(path):
     return out
 
 
+def _typed_keys(path, kind, types):
+    """The keys of a key=value file, each converted by its type in ``types``;
+    a key not in ``types`` is an unknown ``kind`` key."""
+    out = {}
+    for key, value in read_keyvalue(path).items():
+        if key not in types:
+            raise InvalidInput(f"{path}: unknown {kind} key {key!r}")
+        try:
+            out[key] = types[key](value)
+        except ValueError as exc:
+            raise InvalidInput(f"{path}: bad value for {key}: {exc}") from exc
+    return out
+
+
 def solver_config_from_file(path):
     """SolverConfig from key=value text: its field names, typed like their defaults."""
     types = {name: type(getattr(DEFAULT_CONFIG, name)) for name in SolverConfig._fields}
-    kwargs = {}
-    for key, value in read_keyvalue(path).items():
-        if key not in types:
-            raise InvalidInput(f"{path}: unknown solver key {key!r}")
-        try:
-            kwargs[key] = types[key](value)
-        except ValueError as exc:
-            raise InvalidInput(f"{path}: bad value for {key}: {exc}") from exc
-    return SolverConfig(**kwargs)
+    return SolverConfig(**_typed_keys(path, "solver", types))
 
 
 def ensemble_config_from_file(path):
     """Build an EnsembleConfig from key=value text.
 
-    Keys: n, replicates, seed, model (path, relative to the config file),
-    symmetrization, innovation. Returns (config, model_path).
+    Keys: n, replicates (default 1), seed, model (path, relative to the
+    config file), symmetrization, innovation. Returns (config, model_path).
     """
-    raw = read_keyvalue(path)
-    required = ("n", "seed", "model")
-    for key in required:
-        if key not in raw:
+    types = {"n": int, "replicates": int, "seed": int, "model": str, "symmetrization": str, "innovation": str}
+    keys = _typed_keys(path, "ensemble", types)
+    for key in ("n", "seed", "model"):
+        if key not in keys:
             raise InvalidInput(f"{path}: missing required key {key!r}")
-    for key in raw:
-        if key not in EnsembleConfig._fields:
-            raise InvalidInput(f"{path}: unknown ensemble key {key!r}")
-    model_path = Path(path).parent / raw["model"]
-    _, model = read_model_file(model_path)
-    try:
-        cfg = EnsembleConfig(
-            n=int(raw["n"]),
-            replicates=int(raw.get("replicates", 1)),
-            seed=int(raw["seed"]),
-            model=model,
-            symmetrization=raw.get("symmetrization", "wigner"),
-            innovation=raw.get("innovation", "gaussian"),
-        )
-    except ValueError as exc:
-        raise InvalidInput(f"{path}: {exc}") from exc
-    return cfg, model_path
+    model_path = Path(path).parent / keys["model"]
+    _, keys["model"] = read_model_file(model_path)
+    return EnsembleConfig(**{"replicates": 1, **keys}), model_path
 
 
 def sha256_file(path):

@@ -309,8 +309,8 @@ def _solve_block(b, zs, cfg, newton=False):
     iteration costs one real matrix product for all columns. A column
     starts each of its point's attempts from pi0 = rowmean(b) S_sc(z; B)
     at the attempt's first height, warm-starts the attempt's later stages
-    and leaves the block once the point converges; the points of one height
-    share their attempts, and the ladder is built when the first of them stalls in its direct stage.
+    and leaves the block once the point converges; each point walks its own
+    _attempts, so its ladder is built only when its direct stage stalls.
     ``newton`` factors the K x K matrix with _factor and, when its rank is
     at most _NEWTON_MAX_RANK, switches every column to Newton steps, each
     one r x r solve per column (_newton_solve; one division at r = 1); an
@@ -335,26 +335,11 @@ def _solve_block(b, zs, cfg, newton=False):
         # row i r + j of jac is W[i, :] U[:, j], so jac @ g^2 stacks W diag(g^2) U
         jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, classes)
         eye = np.eye(r)
-        # a Newton point is finite with Im >= 0 when its (re, im) parts lie in [low, big]
-        big = np.finfo(float).max
-        low = np.array([-big, 0.0])
     size = len(zs)
-    schedules = {}  # per height: the generator of its attempts, and those it has built
-
-    def attempt(h, i):
-        """Attempt i of height h, built when a point first reaches it; None past the last."""
-        if h not in schedules:
-            schedules[h] = _attempts(h, mass, cfg), []
-        more, built = schedules[h]
-        if i == len(built):
-            built.append(next(more, None))
-        return built[i]
-
-    # per point: its height, its attempt, the stages of that attempt, where it is in
-    # them, and its results
-    heights = zs.imag.tolist()
-    tried = [0] * size
-    plan = [attempt(h, 0) for h in heights]
+    # per point: the generator of its attempts, the stages of its current attempt,
+    # where it is in them, and its results
+    attempts = [_attempts(h, mass, cfg) for h in zs.imag.tolist()]
+    plan = [next(more) for more in attempts]
     stage = [0] * size
     count = [0] * size  # column-iterations over all attempts
     history = [[] for _ in range(size)]  # residuals of the current stage, the last one final
@@ -424,8 +409,7 @@ def _solve_block(b, zs, cfg, newton=False):
                 np.dot(U, y.view(np.float64), out=fp_r)
                 np.subtract(pif_r, fp_r, out=fp_r)
             # a column whose Newton point is not finite or leaves Im pi >= 0 keeps G
-            lo, hi = (a.reshape(width, 2) for a in (fp_r.min(axis=0), fp_r.max(axis=0)))
-            take = ((lo >= low) & (hi <= big)).all(axis=1)
+            take = np.isfinite(fp).all(axis=0) & (fp.imag >= 0).all(axis=0)
         elif mixing:
             # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from
             # the step f = G - pi (in w) and df = f - f_prev (in fp), each class's
@@ -473,8 +457,8 @@ def _solve_block(b, zs, cfg, newton=False):
                 pi[:, k] = pif[:, k]
                 stage[p] += 1
                 start_stage(k)
-            elif res[k] < np.inf and (retry := attempt(heights[p], tried[p] + 1)):
-                tried[p], plan[p], stage[p] = tried[p] + 1, retry, 0
+            elif res[k] < np.inf and (retry := next(attempts[p], None)):
+                plan[p], stage[p] = retry, 0
                 start_stage(k)
                 pi[:, k] = rowmean * _semicircle(mass, z[k])
             else:

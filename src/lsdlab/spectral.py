@@ -213,7 +213,7 @@ class DensityGrid(_Value):
             raise InvalidInput(f"density grid must be {n}x{n}, got {v.shape}")
         if not np.isfinite(v).all():
             raise InvalidInput("density grid has non-finite values")
-        scale = max(1.0, float(np.abs(v).max()) if v.size else 1.0)
+        scale = max(1.0, float(np.abs(v).max()))
         v = np.where((v < 0) & (v > -1e-12 * scale), 0.0, v)  # a fresh array: no copy needed
         if (v < 0).any():
             raise InvalidInput("density grid has negative values")
@@ -422,7 +422,7 @@ def density_from_profile(t):
 def profile_from_density(g):
     """Extract t with b = t (x) t (to a relative 1e-8) from a rank-one density."""
     t = np.sqrt(np.clip(np.diag(g.values), 0.0, None))
-    scale = max(1.0, float(g.values.max()) if g.values.size else 1.0)
+    scale = max(1.0, float(g.values.max()))
     if np.abs(g.values - np.outer(t, t)).max() > 1e-8 * scale:
         raise InvalidInput("density grid is not of product form t(x) t(y)")
     return ProfileFunction(t)

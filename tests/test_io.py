@@ -241,7 +241,7 @@ def test_ensemble_config_from_file(tmp_path):
     [
         ("n = 64\nmodel = model.txt\n", "missing required key 'seed'"),
         ("n = 64\nseed = 1\nmodel = model.txt\nsymmetrisation = additive\n", "unknown ensemble key 'symmetrisation'"),
-        ("n = ten\nseed = 1\nmodel = model.txt\n", "invalid literal for int"),
+        ("n = ten\nseed = 1\nmodel = model.txt\n", r"bad value for n: invalid literal for int\(\)"),
     ],
     ids=["missing-key", "unknown-key", "non-integer-n"],
 )

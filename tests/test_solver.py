@@ -372,6 +372,18 @@ class TestSolveCurve:
         assert stalled.S[0] == ladder.S[0]
         assert stalled.iterations[0] == ladder.iterations[0] + cfg.max_iterations
 
+    def test_a_ladder_restart_beside_direct_points_of_its_height(self):
+        # near the spectral edge 4.02 and 4.03 stall within 5 iterations and restart on
+        # the ladder, while the other points of Im z = 0.005 converge directly
+        b = step_density([1.0, 3.0, 2.0], 16)
+        cfg = SolverConfig(max_iterations=5)
+        curve = solve_curve(b, np.array([-1.0, 0.5, 4.02, 4.03, 2.0]) + 0.005j, cfg)
+        assert (curve.iterations > cfg.max_iterations).tolist() == [False, False, True, True, False]
+        for z, s, its in zip(curve.z, curve.S, curve.iterations):
+            alone = solve_curve(b, [z], cfg)
+            assert its == alone.iterations[0]
+            assert abs(s - alone.S[0]) <= 10 * 1e-10
+
     @pytest.mark.parametrize(
         "make",
         [
@@ -474,6 +486,32 @@ class TestSolveCurve:
             assert np.array_equal(curve.iterations, plain[1])
             with pytest.raises(NoConvergence):
                 solve_curve(b, near, cfg)
+
+    def test_a_newton_point_below_the_axis_keeps_the_damped_update_in_its_column(self, monkeypatch):
+        newton_solve = solver._newton_solve
+        b = step_density([0.5, 1.5, 1.0], 32)
+        zs = np.array([-1.5 + 0.05j, -0.5 + 0.02j, 0.3 + 2j, 0.8 + 0.1j, 1.7 + 0.01j, 2.5 + 1j])
+
+        def shifted(columns):
+            calls = []
+
+            def shift(jacs, rhs):
+                y = newton_solve(jacs, rhs)
+                if not calls:  # block iteration 1, where column k solves point k
+                    # at r = 1 U >= 0, so these columns' Newton points have Im < 0
+                    y[:, columns] += 1e3j
+                calls.append(None)
+                return y
+
+            monkeypatch.setattr(solver, "_newton_solve", shift)
+            return solve_curve(b, zs)
+
+        plain, odd, every = shifted([]), shifted([1, 3, 5]), shifted(slice(None))
+        assert (odd.iterations[1::2] > plain.iterations[1::2]).all()
+        for k in range(len(zs)):
+            expected = every if k % 2 else plain
+            assert odd.iterations[k] == expected.iterations[k]
+            assert abs(odd.S[k] - expected.S[k]) <= 10 * 1e-10
 
     def test_rank_one_solves_never_call_lapack(self, monkeypatch):
         def lapack(*args):
