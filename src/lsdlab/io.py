@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import platform
 from pathlib import Path
 
@@ -244,17 +245,24 @@ def sha256_file(path):
     return sha256(Path(path).read_bytes()).hexdigest()
 
 
+# BLAS and OpenMP thread counts, which move the last bits of BLAS sums.
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
 def write_manifest(path, command, config, inputs, outputs, extra=None):
-    """Run manifest: resolved config, input/output digests, versions.
+    """Run manifest: resolved config, input/output digests, versions, thread settings.
 
     Content is deterministic (no timestamps) so reruns of a deterministic
-    command produce identical manifests.
+    command in the same environment produce identical manifests. The
+    ``environment`` block holds each of _THREAD_VARIABLES that is set, as
+    its string.
     """
     from . import __version__
 
     doc = {
         "command": command,
         "config": config,
+        "environment": {name: os.environ[name] for name in _THREAD_VARIABLES if name in os.environ},
         "inputs": {Path(p).name: sha256_file(p) for p in inputs},
         "outputs": {Path(p).name: sha256_file(p) for p in outputs},
         "versions": {

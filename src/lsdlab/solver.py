@@ -40,8 +40,9 @@ start, and one iteration is one real matrix product with that K x K matrix
 for the whole contour. When b/N = U W has low rank r, each column of
 solve_curve instead takes Newton steps with the r x r Jacobian
 I - W diag(g^2) U, U W the factor of the lumped K x K matrix; such an
-iteration adds one r x r solve per column, and at r = 1 (a product profile,
-a constant grid) one division, with no LAPACK call. Its residual is still
+iteration adds one r x r solve per column: one division at r = 1 (a product
+profile, a constant grid), Cramer's rule at r = 2 (the 3-tap model), neither
+a LAPACK call, and one batched LAPACK solve at r >= 3. Its residual is still
 that of the full b: the max over classes is the max over rows.
 
 The product form b = t(x) t(y) reduces to one scalar equation in v, with
@@ -125,7 +126,7 @@ def _check_herglotz(z, g, pi):
     slack = 1.0 + 1e-12
     if (g.imag <= 0).any():
         raise LsdlabError("solver postcondition failed: Im g > 0")
-    if (np.abs(g) > slack / z.imag).any():
+    if (np.abs(g) * z.imag > slack).any():
         raise LsdlabError("solver postcondition failed: |g| <= 1/Im z")
     # the bound is negative, so the row scales matter only where some Im pi < 0
     if (pi.imag < 0).any() and (pi.imag < -1e-15 * (1.0 + np.abs(pi).max(axis=-1, keepdims=True))).any():
@@ -173,9 +174,9 @@ def _semicircle(mass, z):
 
 
 def contraction_certificate(b, z):
-    """A-priori Lipschitz factor B/(Im z)^2 of the self-energy iteration."""
-    z = _upper_half_plane(z)
-    return float(b.mass / z.imag**2)
+    """A-priori Lipschitz factor B/(Im z)^2 of the self-energy iteration, inf once (Im z)^2 underflows."""
+    h2 = _upper_half_plane(z).imag ** 2
+    return float(b.mass / h2) if h2 else np.inf
 
 
 def continuity_bound(b1, b2, z):
@@ -248,7 +249,7 @@ def _attempts(im_target, mass, cfg):
     """
 
     def stage(h, tol, budget):
-        certified = mass / (h * h) < 1.0
+        certified = mass < h * h  # compared, not divided: h * h is 0 below about 1.5e-162
         return h, 1.0 if certified else 0.5, tol, certified, budget
 
     yield (stage(im_target, cfg.tolerance, min(cfg.max_iterations, _DIRECT_ITERATIONS)),)
@@ -284,12 +285,16 @@ def _newton_solve(jacs, rhs):
     """y = J^-1 rhs of every column, from the P x r x r stack of J and the r x P rhs.
 
     At r = 1 this is one division per column, the product form's step
-    (v - f)/(1 - f') in the lumped unknown, with no LAPACK call; a J of 0 or
-    NaN gives a non-finite y there, as a singular J anywhere in the stack
-    gives every column at r >= 2.
+    (v - f)/(1 - f') in the lumped unknown, and at r = 2 Cramer's rule, forward
+    stable for 2 x 2 systems: neither calls LAPACK, and a J that is singular,
+    or not finite, gives a non-finite y in its own column only. At r >= 3 a
+    singular J anywhere in the stack gives every column a NaN y.
     """
     if len(rhs) == 1:
         return rhs / jacs.reshape(rhs.shape)
+    if len(rhs) == 2:
+        (a, b), (c, d) = jacs.transpose(1, 2, 0)
+        return np.array([d * rhs[0] - b * rhs[1], a * rhs[1] - c * rhs[0]]) / (a * d - b * c)
     try:
         return np.ascontiguousarray(np.linalg.solve(jacs, rhs.T[:, :, None])[:, :, 0].T)
     except np.linalg.LinAlgError:
@@ -313,13 +318,14 @@ def _solve_block(b, zs, cfg, newton=False):
     _attempts, so its ladder is built only when its direct stage stalls.
     ``newton`` factors the K x K matrix with _factor and, when its rank is
     at most _NEWTON_MAX_RANK, switches every column to Newton steps, each
-    one r x r solve per column (_newton_solve; one division at r = 1); an
-    iteration in which every column accepts its Newton point skips the
-    damped update. The Herglotz postcondition is checked once, on every
-    point. Returns per point of zs its S, column-iterations over all
-    attempts, final residual, stage count and last stage's residuals, then
-    (g, pi) of the contour's first point, expanded to the N rows through the
-    class labels: a one-column call's profile.
+    one r x r solve per column (_newton_solve: a division at r = 1, a closed
+    form at r = 2, LAPACK at r >= 3); an iteration in which every column
+    accepts its Newton point skips the damped update. The Herglotz
+    postcondition is checked once, on every point. Returns per point of zs
+    its S, column-iterations over all attempts, final residual, stage count
+    and last stage's residuals, then (g, pi) of the contour's first point,
+    expanded to the N rows through the class labels: a one-column call's
+    profile.
     """
     n, mass = b.n, b.mass
     labels, sizes, bvals = _row_classes(b.values)
@@ -518,7 +524,7 @@ def solve_curve(b, contour, cfg=None):
     A density whose K x K lumped matrix has rank r <= _NEWTON_MAX_RANK (one
     _factor of it per call) is solved by Newton steps in r unknowns, whose
     iterations each cost a matrix product with that matrix plus an r x r
-    solve, one division at r = 1; other densities run the plain map on it.
+    solve, in closed form at r <= 2; other densities run the plain map on it.
     A density equal to its reversal folds onto mirror classes first, which
     about halves that rank.
     Points come back in contour order. NoConvergence names the first point

@@ -323,12 +323,20 @@ def _fourier(c, radius, n):
     of the grid, the second half of an odd n's middle row included, is
     filled from them, conjugated in reverse order, so the grid has that
     symmetry exactly, not only up to rounding.
+
+    The phases are C - i S, C = cos(2 pi x k) and S = sin(2 pi x k), so the
+    sum is real C c C^T - S c S^T and imaginary -(S c C^T + C c S^T), each
+    product taken from the left in real arithmetic.
     """
     if n < 2:
         raise InvalidInput("grid size must be >= 2")
-    phases = np.exp(-2j * np.pi * np.outer(midpoints(n), np.arange(-radius, radius + 1)))
+    angles = 2.0 * np.pi * np.outer(midpoints(n), np.arange(-radius, radius + 1))
+    cos, sin = np.cos(angles), np.sin(angles)
+    rows = (n + 1) // 2
+    cc, sc = cos[:rows] @ c, sin[:rows] @ c
     amp = np.empty((n, n), dtype=complex)
-    amp[: (n + 1) // 2] = phases[: (n + 1) // 2] @ c @ phases.T
+    amp.real[:rows] = cc @ cos.T - sc @ sin.T
+    amp.imag[:rows] = -(sc @ cos.T + cc @ sin.T)
     flat, half = amp.reshape(-1), n * n // 2
     flat[n * n - half :] = flat[:half][::-1].conj()
     return amp

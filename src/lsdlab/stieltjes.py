@@ -73,7 +73,7 @@ class StieltjesCurve(_Value):
             raise InvalidInput("curve values and residuals must be finite")
         if (s.imag <= 0).any():
             raise InvalidInput("curve values must have Im S > 0")
-        if (np.abs(s) > (1.0 + 1e-9) / z.imag).any():
+        if (np.abs(s) * z.imag > 1.0 + 1e-9).any():
             raise InvalidInput("curve violates |S| <= 1/Im z")
         self._set(z, s, it, res)
 

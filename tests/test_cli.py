@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -388,6 +389,32 @@ class TestSolveCommand:
         assert err.count("bilinear coefficient b[(0, 0),(1, 0)] is non-finite") == 2
         assert "gamma" not in err
         assert not recwarn.list
+
+    def test_three_tap_readme_contour_calls_no_lapack(self, tmp_path, monkeypatch):
+        def lapack(*args):
+            raise AssertionError("np.linalg.solve called on the 3-tap model")
+
+        monkeypatch.setattr(np.linalg, "solve", lapack)
+        model = write_model(tmp_path, "0 0 1.0\n1 0 1.0\n0 1 1.0\n")
+        out = tmp_path / "out"
+        assert main(["solve", str(model), "--contour", "im=0.05,re=-9:9:121", "--out-dir", str(out)]) == 0
+        assert io.read_curve_csv(out / "curve.csv").iterations.sum() == 495
+
+    @pytest.mark.parametrize("height", ["1e-170", "1e-200", "1e-300", "5e-324"])
+    def test_heights_whose_square_underflows_exit_0(self, tmp_path, height):
+        model = write_model(tmp_path, "0 0 1.0\n1 0 1.0\n0 1 1.0\n")
+
+        def solve(im, out):
+            args = ["solve", str(model), "--grid", "32", "--contour", f"im={im},re=-1:1:3", "--out-dir"]
+            assert main([*args, str(tmp_path / out)]) == 0
+            return io.read_curve_csv(tmp_path / out / "curve.csv")
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            curve = solve(height, "tiny")
+        near = solve("1e-150", "near")  # its square is still normal
+        assert np.array_equal(curve.iterations, near.iterations)
+        assert np.abs(curve.S - near.S).max() <= 1e-12
 
     def test_solver_postcondition_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

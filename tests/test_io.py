@@ -271,6 +271,24 @@ def test_manifest_digests_and_determinism(tmp_path):
     assert "lsdlab" in doc["versions"]
 
 
+def test_manifest_records_the_thread_variables_that_are_set(tmp_path, monkeypatch):
+    for name in io._THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
+    monkeypatch.setenv("MKL_NUM_THREADS", "1")
+    monkeypatch.setenv("LSD_LAB_THREADS", "4")  # the CLI's own worker count, not a BLAS setting
+    path = tmp_path / "manifest.json"
+    io.write_manifest(path, "density", {"grid": 8}, [], [])
+    assert json.loads(path.read_text())["environment"] == {"OPENBLAS_NUM_THREADS": "2", "MKL_NUM_THREADS": "1"}
+    first = path.read_bytes()
+    io.write_manifest(path, "density", {"grid": 8}, [], [])
+    assert path.read_bytes() == first
+    for name in io._THREAD_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+    io.write_manifest(path, "density", {"grid": 8}, [], [])
+    assert json.loads(path.read_text())["environment"] == {}
+
+
 def test_runlog_appends_json_lines(tmp_path):
     path = tmp_path / "runlog.jsonl"
     io.append_runlog(path, [{"replicate": 0, "n": 4}, {"replicate": 1, "n": 4}])

@@ -37,6 +37,12 @@ from test_spectral import BILINEAR, SKEW, random_filter
 
 
 MA3 = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0, (0, 1): 1.0})
+# the 5-tap cross, whose density folds to rank 3, the least rank whose Newton steps call LAPACK
+CROSS = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 1.0, (2, 0): 1.0, (0, 1): 1.0, (0, 2): 1.0})
+# the points of the tests that change one column's first Newton step
+SCATTERED = np.array([-1.5 + 0.05j, -0.5 + 0.02j, 0.3 + 2j, 0.8 + 0.1j, 1.7 + 0.01j, 2.5 + 1j])
+# heights whose square underflows to 0
+UNDERFLOWING = [1e-170, 1e-200, 1e-300, 5e-324]
 
 
 def constant_density(sigma2, n=64):
@@ -59,6 +65,23 @@ def product_plus_faint_constant(rng):
     """t(x) t(y) + 1e-9: rank 2, with a second term far below the first but above the factor's cutoff."""
     t = rng.uniform(1.0, 2.0, 64)
     return DensityGrid(64, np.outer(t, t) + 1e-9)
+
+
+def solve_with_first_newton_step(b, zs, first):
+    """solve_curve(b, zs) whose first _newton_solve call returns first(_newton_solve, jacs, rhs).
+
+    That call is block iteration 1's, where column k solves point k.
+    """
+    newton_solve = solver._newton_solve
+    calls = []
+
+    def solve(jacs, rhs):
+        calls.append(None)
+        return first(newton_solve, jacs, rhs) if len(calls) == 1 else newton_solve(jacs, rhs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(solver, "_newton_solve", solve)
+        return solve_curve(b, zs)
 
 
 def filter_of_order(rng, m):
@@ -225,6 +248,25 @@ class TestContraction:
             assert cert < 0.9
             prof = solve_profile(b, z)
             assert measured_decay_ratio(prof) <= cert + 0.05
+
+
+@pytest.mark.parametrize("height", UNDERFLOWING)
+def test_heights_whose_square_underflows_solve_as_a_tiny_normal_one(height):
+    b = density_from_filter(MA3, 32)
+    t = profile_from_steps([0.5, 1.5, 1.0], 32)
+    xs = np.array([-1.0, 0.0, 0.5, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = solve_curve(b, xs + 1j * height)
+        scalar = solve_product_form(t, 0.5 + 1j * height)
+        assert contraction_certificate(b, 1j * height) == np.inf
+    # at 1e-150 the square is still normal
+    near = solve_curve(b, xs + 1e-150j)
+    assert curve.iterations.tolist() == near.iterations.tolist()
+    assert np.abs(curve.S - near.S).max() <= 1e-12
+    near = solve_product_form(t, 0.5 + 1e-150j)
+    assert scalar.iterations == near.iterations
+    assert abs(scalar.S - near.S) <= 1e-12
 
 
 def test_residual_history_is_monotone_under_contraction():
@@ -452,9 +494,10 @@ class TestSolveCurve:
         def singular(*args):
             raise np.linalg.LinAlgError("Singular matrix")
 
-        b = density_from_filter(MA3, 32)  # rank 2 after the fold, so J is solved by LAPACK
-        zs = np.array([2j, 0.5 + 3j])  # certified: the damped update alone converges
+        b = density_from_filter(CROSS, 32)  # rank 3 after the fold, so J is solved by LAPACK
+        zs = np.array([3j, 0.5 + 4j])  # certified (mass 5): the damped update alone converges
         plain = solver._solve_block(b, zs, solver.DEFAULT_CONFIG)
+        assert plain[1] == [17, 13]
         near, cfg = [0.5 + 0.05j], SolverConfig(max_iterations=5)
         assert solve_curve(b, near, cfg).residuals[0] <= 1e-10  # Newton steps need no more
         monkeypatch.setattr(np.linalg, "solve", singular)
@@ -487,35 +530,52 @@ class TestSolveCurve:
             with pytest.raises(NoConvergence):
                 solve_curve(b, near, cfg)
 
-    def test_a_newton_point_below_the_axis_keeps_the_damped_update_in_its_column(self, monkeypatch):
-        newton_solve = solver._newton_solve
+    def test_a_newton_point_below_the_axis_keeps_the_damped_update_in_its_column(self):
         b = step_density([0.5, 1.5, 1.0], 32)
-        zs = np.array([-1.5 + 0.05j, -0.5 + 0.02j, 0.3 + 2j, 0.8 + 0.1j, 1.7 + 0.01j, 2.5 + 1j])
 
         def shifted(columns):
-            calls = []
-
-            def shift(jacs, rhs):
+            def shift(newton_solve, jacs, rhs):
                 y = newton_solve(jacs, rhs)
-                if not calls:  # block iteration 1, where column k solves point k
-                    # at r = 1 U >= 0, so these columns' Newton points have Im < 0
-                    y[:, columns] += 1e3j
-                calls.append(None)
+                # at r = 1 U >= 0, so these columns' Newton points have Im < 0
+                y[:, columns] += 1e3j
                 return y
 
-            monkeypatch.setattr(solver, "_newton_solve", shift)
-            return solve_curve(b, zs)
+            return solve_with_first_newton_step(b, SCATTERED, shift)
 
         plain, odd, every = shifted([]), shifted([1, 3, 5]), shifted(slice(None))
         assert (odd.iterations[1::2] > plain.iterations[1::2]).all()
+        for k in range(len(SCATTERED)):
+            expected = every if k % 2 else plain
+            assert odd.iterations[k] == expected.iterations[k]
+            assert abs(odd.S[k] - expected.S[k]) <= 10 * 1e-10
+
+    def test_a_singular_rank_two_jacobian_keeps_the_damped_update_in_its_column(self):
+        b = density_from_filter(MA3, 32)  # rank 2 after the fold: Cramer's rule
+        zs = SCATTERED * np.sqrt(b.mass)
+
+        def singular(columns):
+            def solve(newton_solve, jacs, rhs):
+                jacs = jacs.copy()
+                jacs[columns] = 1.0  # det [[1, 1], [1, 1]] = 0
+                return newton_solve(jacs, rhs)
+
+            # the singular columns divide by 0 under the block's errstate, and warn of nothing
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                return solve_with_first_newton_step(b, zs, solve)
+
+        plain, odd, every = singular([]), singular([1, 3, 5]), singular(slice(None))
+        assert plain.iterations.tolist() == [5, 4, 3, 4, 5, 3]
+        assert odd.iterations.tolist() == [5, 5, 3, 5, 5, 4]
+        assert every.iterations.tolist() == [5, 5, 4, 5, 6, 4]
         for k in range(len(zs)):
             expected = every if k % 2 else plain
             assert odd.iterations[k] == expected.iterations[k]
             assert abs(odd.S[k] - expected.S[k]) <= 10 * 1e-10
 
-    def test_rank_one_solves_never_call_lapack(self, monkeypatch):
+    def test_rank_one_and_two_solves_never_call_lapack(self, monkeypatch):
         def lapack(*args):
-            raise AssertionError("np.linalg.solve called on a rank-one density")
+            raise AssertionError("np.linalg.solve called on a density of rank at most 2")
 
         monkeypatch.setattr(np.linalg, "solve", lapack)
         x = midpoints(64)
@@ -532,6 +592,17 @@ class TestSolveCurve:
             assert curve.iterations.tolist() == iterations
             for z, s in zip(zs, curve.S):
                 assert abs(s - solve_product_form(t, z).S) <= 1e-9
+        rank_two = FilterCoefficients.from_entries({(0, 0): 1.0, (1, 0): 0.7, (0, 1): 0.5, (2, 0): 0.3})
+        for a, iterations in [(MA3, [3, 8, 5, 4, 5, 4, 5, 8, 3]), (rank_two, [4, 8, 5, 5, 5, 5, 5, 8, 4])]:
+            for n in (32, 128):
+                b = density_from_filter(a, n)
+                assert solver._factor(_row_classes(b.values)[2], n)[0].shape[1] == 2
+                root = np.sqrt(b.mass)
+                zs = (np.linspace(-3.0, 3.0, 9) + 0.02j) * root
+                curve = solve_curve(b, zs)
+                assert curve.iterations.tolist() == iterations
+                for z, s in zip(zs, curve.S):
+                    assert abs(s - solve_profile(b, z).S) <= 1e-9
 
     def test_rejects_bad_contour(self):
         b = constant_density(1.0)
