@@ -23,9 +23,11 @@ built only then, that converges at a safe height, where that factor is
 (convergence below sqrt(B) is empirical, not certified; stage residuals are
 reported). Inner ladder stages stop at a
 loose residual; only the last stage of a point uses the tolerance.
-Uncertified stages accelerate the damped update with Anderson mixing of
-depth 1, accepting a mixed step only if it keeps Im pi >= 0; certified
-stages run the plain update, whose rate the certificate bounds.
+Each iteration forms the damped step f = d ((1/N) b g - pi) once, damping d
+from the stage. Uncertified stages (d = 1/2) accelerate the update pi + f
+with Anderson mixing of depth 1 on that f (Walker & Ni, SIAM J. Numer. Anal.
+2011), accepting a mixed step only if it keeps Im pi >= 0; certified stages
+(d = 1) run the plain update, whose rate the certificate bounds.
 
 Rows of b equal to the row above give g and pi equal to that row's at every
 iterate, and when b equals its reversal b[::-1, ::-1] bit for bit, as every
@@ -236,7 +238,7 @@ def _no_convergence(z, stage, height, residual, iterations):
 
 
 def _attempts(im_target, mass, cfg):
-    """Stages to try in turn for one point, as (height, damping, tolerance, certified, budget).
+    """Stages to try in turn for one point, as (height, damping, tolerance, budget).
 
     A generator of attempts, each a tuple of stages whose first starts from
     the mean-field self-energy at its height and whose later ones start warm:
@@ -245,12 +247,13 @@ def _attempts(im_target, mass, cfg):
     cfg.max_iterations per stage. The ladder is built only when the caller
     asks for it, that is when the direct stage has stalled. A stage is
     certified when B/h^2 < 1, and then takes the full update (damping 1),
-    else half of it (damping 1/2).
+    else half of it (damping 1/2): a damping below 1 marks a stage as
+    uncertified.
     """
 
     def stage(h, tol, budget):
         certified = mass < h * h  # compared, not divided: h * h is 0 below about 1.5e-162
-        return h, 1.0 if certified else 0.5, tol, certified, budget
+        return h, 1.0 if certified else 0.5, tol, budget
 
     yield (stage(im_target, cfg.tolerance, min(cfg.max_iterations, _DIRECT_ITERATIONS)),)
     *inner, last = _ladder_heights(im_target, mass)
@@ -286,9 +289,10 @@ def _newton_solve(jacs, rhs):
 
     At r = 1 this is one division per column, the product form's step
     (v - f)/(1 - f') in the lumped unknown, and at r = 2 Cramer's rule, forward
-    stable for 2 x 2 systems: neither calls LAPACK, and a J that is singular,
-    or not finite, gives a non-finite y in its own column only. At r >= 3 a
-    singular J anywhere in the stack gives every column a NaN y.
+    stable for 2 x 2 systems: neither calls LAPACK. At r >= 3 one batched
+    LAPACK solve takes every column, and when it finds a singular J the
+    columns are solved one at a time. At every r a J that is singular, or not
+    finite, gives a non-finite y in its own column only.
     """
     if len(rhs) == 1:
         return rhs / jacs.reshape(rhs.shape)
@@ -298,6 +302,8 @@ def _newton_solve(jacs, rhs):
     try:
         return np.ascontiguousarray(np.linalg.solve(jacs, rhs.T[:, :, None])[:, :, 0].T)
     except np.linalg.LinAlgError:
+        if len(jacs) > 1:
+            return np.hstack([_newton_solve(jacs[k : k + 1], rhs[:, k : k + 1]) for k in range(len(jacs))])
         return np.full(rhs.shape, np.nan, dtype=complex)
 
 
@@ -320,7 +326,10 @@ def _solve_block(b, zs, cfg, newton=False):
     at most _NEWTON_MAX_RANK, switches every column to Newton steps, each
     one r x r solve per column (_newton_solve: a division at r = 1, a closed
     form at r = 2, LAPACK at r >= 3); an iteration in which every column
-    accepts its Newton point skips the damped update. The Herglotz
+    accepts its Newton point skips the damped update. Otherwise each column
+    forms its damped step f = d (pif - pi) once, and the update pi + f and,
+    in a stage of damping below 1 off the Newton path, the Anderson weights
+    read that one f. The Herglotz
     postcondition is checked once, on every point. Returns per point of zs
     its S, column-iterations over all attempts, final residual, stage count
     and last stage's residuals, then (g, pi) of the contour's first point,
@@ -350,12 +359,12 @@ def _solve_block(b, zs, cfg, newton=False):
     count = [0] * size  # column-iterations over all attempts
     history = [[] for _ in range(size)]  # residuals of the current stage, the last one final
     # per column, each a vector of the block's width: the point it solves, the block
-    # iterations at which its stage began and at which its budget runs out, its z and,
-    # as complex weights that round as a scalar damping factor does, d and 1 - d
+    # iterations at which its stage began and at which its budget runs out, its z and
+    # its damping d
     point = np.arange(size)
     start, end = np.zeros((2, size), dtype=np.int64)
-    z, damp, rest = np.empty((3, size), dtype=complex)
-    tol = np.empty(size)
+    z = np.empty(size, dtype=complex)
+    damp, tol = np.empty((2, size))
     mixed = np.zeros(size, dtype=bool)  # stage outside the certified region
     # K x P blocks of pi and of the previous step f and update G of the Anderson
     # mixing (or the Newton point); g and pi of each point as its column leaves
@@ -365,11 +374,10 @@ def _solve_block(b, zs, cfg, newton=False):
 
     def start_stage(k):
         p = point[k]
-        h, d, tol[k], certified, budget = plan[p][stage[p]]
+        h, damp[k], tol[k], budget = plan[p][stage[p]]
         z[k] = complex(zs[p].real, h)
-        damp[k], rest[k] = d, 1.0 - d
         start[k], end[k] = it, it + budget  # a new start also resets the column's mixing history
-        mixed[k] = not (certified or newton)
+        mixed[k] = damp[k] < 1 and not newton
         history[p] = []
 
     for k in range(size):
@@ -416,26 +424,25 @@ def _solve_block(b, zs, cfg, newton=False):
                 np.subtract(pif_r, fp_r, out=fp_r)
             # a column whose Newton point is not finite or leaves Im pi >= 0 keeps G
             take = np.isfinite(fp).all(axis=0) & (fp.imag >= 0).all(axis=0)
-        elif mixing:
-            # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from
-            # the step f = G - pi (in w) and df = f - f_prev (in fp), each class's
-            # row weighted by its size as the N rows it stands for would be
-            np.subtract(pif_r, pi_r, out=w_r)
-            w *= damp
-            np.subtract(w_r, fp_r, out=fp_r)
-            np.conjugate(fp, out=s)
-            s *= w
-            s_r *= m
-            num = s.sum(axis=0)
-            fp_r *= fp_r
-            fp_r *= m
-            den = fp_r.sum(axis=0).reshape(width, 2).sum(axis=1)
-            fp[...] = w
         if newton and take.all():
             np.copyto(pi, fp)  # no column keeps the damped update G, so it is not formed
         else:
-            np.multiply(pi, rest, out=pi)
-            np.multiply(pif, damp, out=w)
+            # the damped step f = d (pif - pi) of every column, in w, and G = pi + f
+            np.subtract(pif_r, pi_r, out=w_r)
+            w *= damp
+            if mixing:
+                # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from f
+                # and df = f - f_prev (in fp), each class's row weighted by its
+                # size as the N rows it stands for would be
+                np.subtract(w_r, fp_r, out=fp_r)
+                np.conjugate(fp, out=s)
+                s *= w
+                s_r *= m
+                num = s.sum(axis=0)
+                fp_r *= fp_r
+                fp_r *= m
+                den = fp_r.sum(axis=0).reshape(width, 2).sum(axis=1)
+                fp[...] = w
             pi_r += w_r
             if newton:
                 np.copyto(pi, fp, where=take)
@@ -473,9 +480,7 @@ def _solve_block(b, zs, cfg, newton=False):
             gs[point[finished]] = g[:, finished].T
             pis[point[finished]] = pif[:, finished].T
             keep = np.delete(np.arange(width), finished)
-            point, start, end, z, damp, rest, tol, mixed = (
-                a[keep] for a in (point, start, end, z, damp, rest, tol, mixed)
-            )
+            point, start, end, z, damp, tol, mixed = (a[keep] for a in (point, start, end, z, damp, tol, mixed))
             # take, not a[:, keep]: that can be non-contiguous, which the float64 views refuse
             pi, fp, gp = (a.take(keep, axis=1) for a in (pi, fp, gp))
         mixing = bool(mixed.any())
@@ -632,7 +637,7 @@ def solve_product_form(t, z, cfg=None):
     total = 0
     for stages in _attempts(z.imag, t.mean_square, cfg):
         v = mean_t * complex(_semicircle(mean_t * mean_t, complex(z.real, stages[0][0])))
-        for stage, (h, d, tol, _, budget) in enumerate(stages):
+        for stage, (h, d, tol, budget) in enumerate(stages):
             v, res, its, ok = _scalar_stage(sums, complex(z.real, h), v, d, tol, budget)
             total += its
             if not ok:

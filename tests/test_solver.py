@@ -84,6 +84,36 @@ def solve_with_first_newton_step(b, zs, first):
         return solve_curve(b, zs)
 
 
+def singular_first_newton_steps(b, plain_iterations, every_iterations):
+    """solve_curve(b) at SCATTERED sqrt(B) with the first Newton step's J all ones, so singular, in the odd columns.
+
+    Runs it with no, odd and every J singular, asserts the first and last runs'
+    iterations, and that each odd point matches the all-singular run and each
+    even point the unperturbed one; returns the odd run. The singular columns
+    divide by 0 or raise under the block's errstate, and warn of nothing.
+    """
+    zs = SCATTERED * np.sqrt(b.mass)
+
+    def singular(columns):
+        def solve(newton_solve, jacs, rhs):
+            jacs = jacs.copy()
+            jacs[columns] = 1.0
+            return newton_solve(jacs, rhs)
+
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return solve_with_first_newton_step(b, zs, solve)
+
+    plain, odd, every = singular([]), singular([1, 3, 5]), singular(slice(None))
+    assert plain.iterations.tolist() == plain_iterations
+    assert every.iterations.tolist() == every_iterations
+    for k in range(len(zs)):
+        expected = every if k % 2 else plain
+        assert odd.iterations[k] == expected.iterations[k]
+        assert abs(odd.S[k] - expected.S[k]) <= 10 * 1e-10
+    return odd
+
+
 def filter_of_order(rng, m):
     """Random filter with every coefficient of |u|, |v| <= m drawn, so its density has rank 4m + 1."""
     return FilterCoefficients(m, rng.uniform(-1.0, 1.0, size=(2 * m + 1, 2 * m + 1)))
@@ -550,28 +580,14 @@ class TestSolveCurve:
             assert abs(odd.S[k] - expected.S[k]) <= 10 * 1e-10
 
     def test_a_singular_rank_two_jacobian_keeps_the_damped_update_in_its_column(self):
-        b = density_from_filter(MA3, 32)  # rank 2 after the fold: Cramer's rule
-        zs = SCATTERED * np.sqrt(b.mass)
-
-        def singular(columns):
-            def solve(newton_solve, jacs, rhs):
-                jacs = jacs.copy()
-                jacs[columns] = 1.0  # det [[1, 1], [1, 1]] = 0
-                return newton_solve(jacs, rhs)
-
-            # the singular columns divide by 0 under the block's errstate, and warn of nothing
-            with warnings.catch_warnings():
-                warnings.simplefilter("error")
-                return solve_with_first_newton_step(b, zs, solve)
-
-        plain, odd, every = singular([]), singular([1, 3, 5]), singular(slice(None))
-        assert plain.iterations.tolist() == [5, 4, 3, 4, 5, 3]
+        b = density_from_filter(MA3, 32)  # rank 2 after the fold: Cramer's rule, det [[1, 1], [1, 1]] = 0
+        odd = singular_first_newton_steps(b, [5, 4, 3, 4, 5, 3], [5, 5, 4, 5, 6, 4])
         assert odd.iterations.tolist() == [5, 5, 3, 5, 5, 4]
-        assert every.iterations.tolist() == [5, 5, 4, 5, 6, 4]
-        for k in range(len(zs)):
-            expected = every if k % 2 else plain
-            assert odd.iterations[k] == expected.iterations[k]
-            assert abs(odd.S[k] - expected.S[k]) <= 10 * 1e-10
+
+    def test_a_singular_rank_three_jacobian_keeps_the_damped_update_in_its_column(self):
+        b = density_from_filter(CROSS, 32)  # rank 3 after the fold: one batched LAPACK solve, which raises
+        odd = singular_first_newton_steps(b, [5, 5, 3, 4, 5, 4], [5, 5, 4, 5, 6, 4])
+        assert odd.iterations.tolist() == [5, 5, 3, 5, 5, 4]
 
     def test_rank_one_and_two_solves_never_call_lapack(self, monkeypatch):
         def lapack(*args):
@@ -603,6 +619,22 @@ class TestSolveCurve:
                 assert curve.iterations.tolist() == iterations
                 for z, s in zip(zs, curve.S):
                     assert abs(s - solve_profile(b, z).S) <= 1e-9
+
+    def test_full_rank_densities_pin_the_column_iterations_of_the_plain_map(self):
+        # the damped update with Anderson(1) mixing, the path of every density above
+        # rank _NEWTON_MAX_RANK: no workload runs it, so its counts are pinned here
+        n = 128
+        x = midpoints(n)
+        e = np.exp(2j * np.pi * x)
+        band = DensityGrid(n, (np.abs(x[:, None] - x[None, :]) < 0.1).astype(float))
+        ar = DensityGrid(n, 1.0 / np.abs(1.0 - 0.45 * e[:, None] - 0.45 * e[None, :]) ** 2)
+        for b, classes, iterations in [(band, 64, [954, 1020]), (ar, 128, [2817, 3357])]:
+            lumped = _row_classes(b.values)[2]
+            assert len(lumped) == classes
+            assert solver._factor(lumped, n) is None
+            for height, count in zip([0.05, 1e-5], iterations):
+                curve = solve_curve(b, np.linspace(-9.0, 9.0, 121) + 1j * height)
+                assert curve.iterations.sum() == count
 
     def test_rejects_bad_contour(self):
         b = constant_density(1.0)
