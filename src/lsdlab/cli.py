@@ -72,8 +72,8 @@ def parse_range_spec(spec):
     try:
         a, b, count = spec.split(":")
         lo, hi = float(a), float(b)
-        if not (np.isfinite(lo) and np.isfinite(hi)):
-            raise ValueError("bounds must be finite")
+        if not np.isfinite(hi - lo):  # also when a bound is not; linspace would overflow on it
+            raise ValueError("bounds and their width must be finite")
         return np.linspace(lo, hi, int(count))
     except ValueError as exc:
         raise InvalidInput(f"bad range spec {spec!r}: {exc}") from exc

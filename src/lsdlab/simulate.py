@@ -38,10 +38,9 @@ INNOVATIONS = ("gaussian", "rademacher", "uniform")
 SEED_STRIDE = 0x9E3779B97F4A7C15
 _MASK64 = (1 << 64) - 1
 
-# Rows per scratch block in patch synthesis, wigner assembly and the symmetry
-# check of spectrum. Each block covers the same entries with the same
-# operations, so results do not depend on it; it only bounds the scratch
-# memory to _ROW_BLOCK x n.
+# Rows per scratch block in patch synthesis and wigner assembly. Each block
+# covers the same entries with the same operations, so results do not depend
+# on it; it only bounds the scratch memory to _ROW_BLOCK x n.
 _ROW_BLOCK = 64
 
 
@@ -172,10 +171,8 @@ def spectrum(matrix):
     scale = max(m.max(), -m.min())  # max |m| with no n x n temporary; NaN propagates
     if not np.isfinite(scale):
         raise InvalidInput("matrix must be finite")
-    # m - m.T is exactly antisymmetric in IEEE arithmetic, so its max is its
-    # max |.|; taken over row blocks, with no n x n temporary
-    blocks = range(0, m.shape[0], _ROW_BLOCK)
-    if max((m[r : r + _ROW_BLOCK] - m[:, r : r + _ROW_BLOCK].T).max() for r in blocks) > 1e-12 * scale:
+    # m - m.T is exactly antisymmetric in IEEE arithmetic, so its max is its max |.|
+    if (m - m.T).max() > 1e-12 * scale:
         raise InvalidInput("matrix must be symmetric")
     try:
         eigs = np.linalg.eigvalsh(m)

@@ -5,53 +5,51 @@ half-plane, the profile g solving
 
     g[i] = -(z + (1/N) sum_j b[i, j] g[j])^(-1),      S(z) = (1/N) sum_i g[i],
 
-by damped fixed-point iteration on the self-energy pi = (1/N) b g. The
-update pi <- -(1/N) sum_j b[., j]/(z + pi[j]) preserves Im pi >= 0 and hence
-|z + pi| >= Im z, so every iterate (and the converged profile) satisfies the
-Herglotz bounds Im g > 0 and |g| <= 1/Im z.
+by iteration on the self-energy pi = (1/N) b g. The map
+pi <- -(1/N) sum_j b[., j]/(z + pi[j]) preserves Im pi >= 0 and hence
+|z + pi| >= Im z, so every iterate satisfies the Herglotz bounds Im g > 0
+and |g| <= 1/Im z. It contracts a priori with factor B/(Im z)^2, B the grid
+mass, so a stage at height h is certified when B < h^2.
 
 Every attempt starts from the mean-field self-energy pi0 = rowmean(b) S_sc(z),
-S_sc the semicircle transform of the grid mass B: the exact solution for a
-constant density. The solution in the upper half-plane is unique (Helton,
-Rashidi Far & Speicher, IMRN 2007), so this start reaches the same fixed
-point as any other there, in fewer iterations.
+S_sc the semicircle transform of mass B: the exact solution for a constant
+density. The solution in the upper half-plane is unique (Helton, Rashidi Far
+& Speicher, IMRN 2007), so this start reaches the same fixed point as any
+other there, in fewer iterations.
 
-The iteration contracts a priori with factor B/(Im z)^2. Every point first
-runs one short stage at its target height; a stall restarts it on a ladder,
-built only then, that converges at a safe height, where that factor is
-<= 1/4, then lowers Im z geometrically, warm-starting each stage
-(convergence below sqrt(B) is empirical, not certified; stage residuals are
-reported). Inner ladder stages stop at a
-loose residual; only the last stage of a point uses the tolerance.
-Each iteration forms the damped step f = d ((1/N) b g - pi) once, damping d
-from the stage. Uncertified stages (d = 1/2) accelerate the update pi + f
-with Anderson mixing of depth 1 on that f (Walker & Ni, SIAM J. Numer. Anal.
-2011), accepting a mixed step only if it keeps Im pi >= 0; certified stages
-(d = 1) run the plain update, whose rate the certificate bounds.
+Each point first runs one direct stage at its target height, capped at
+_DIRECT_ITERATIONS. A stall restarts it on a ladder from
+max(Im z, 2 sqrt(B + 1)), where the factor is below 1/4, that lowers Im z by
+_CONTINUATION_FACTOR and warm-starts each stage (convergence below sqrt(B)
+is empirical, not certified). Inner ladder stages only seed the next one,
+so they stop at the loose residual max(_INNER_TOLERANCE, tolerance).
 
-Rows of b equal to the row above give g and pi equal to that row's at every
-iterate, and when b equals its reversal b[::-1, ::-1] bit for bit, as every
-model density does, the unique solution has g[N-1-i] = g[i]. So the solver
-takes one unknown per class of spectral._row_classes, a run of equal
-consecutive rows joined with its mirror run: with K classes, the
-discretized equation is a K x K one whose matrix holds each class's first
-row of b with the columns of each class summed. A contour is solved
-as one K x P block, a single point as a one-column block: every point is a
-column with its own height, damping and tolerance, from its mean-field
-start, and one iteration is one real matrix product with that K x K matrix
-for the whole contour. When b/N = U W has low rank r, each column of
-solve_curve instead takes Newton steps with the r x r Jacobian
-I - W diag(g^2) U, U W the factor of the lumped K x K matrix; such an
-iteration adds one r x r solve per column: one division at r = 1 (a product
-profile, a constant grid), Cramer's rule at r = 2 (the 3-tap model), neither
-a LAPACK call, and one batched LAPACK solve at r >= 3. Its residual is still
-that of the full b: the max over classes is the max over rows.
+Each iteration forms the damped step f = d ((1/N) b g - pi) once, d = 1 in
+certified stages and 1/2 in the others. Certified stages take the plain
+update pi + f, whose rate the certificate bounds. The others accelerate it
+with Anderson mixing of depth 1 on that f (Walker & Ni, SIAM J. Numer.
+Anal. 2011): with df and dpi the differences from the stage's previous
+iteration, a column takes (pi + f) - gamma (dpi + df),
+gamma = <df, f>/<df, df>, only if it keeps Im pi >= 0.
+
+The unknowns are lumped onto the row classes of spectral._row_classes, K in
+all, and a contour is one K x P block, a column per point with its own
+height, damping and tolerance: one iteration is one real K x K matrix
+product for the whole contour, S and the inner products weight a class by
+its size, and the residual, a max over classes, is that of the full b.
+When the lumped b/N = U W has rank r <= _NEWTON_MAX_RANK, solve_curve takes
+Newton steps instead, to pif - U J^-1 W (g^2 (pi - pif)), pif = (1/N) b g,
+with the r x r Jacobian J = I - W diag(g^2) U: for pi = U c the step
+c <- c - J^-1 (c - W g), carrying the remainder of b that U W misses. Its
+r x r solve is a division at r <= 1, Cramer's rule at r = 2 (forward stable
+at that size) and one batched LAPACK solve at r >= 3. A Newton point that
+is not finite or leaves Im pi >= 0 gives way to the damped update, in its
+own column.
 
 The product form b = t(x) t(y) reduces to one scalar equation in v, with
-pi = t v. Its Newton steps take f(v) = -mean(t/(z + t v)) and f'(v) as one
-Python complex term per run (t_k, m_k) of equal values of t when t has at
-most _SCALAR_MAX_RUNS runs, and as numpy sums over the N entries otherwise.
-Its S = -mean(1/(z + t v)) is the mean of g at the final v.
+pi = t v, solved by Newton steps on v - f(v), f(v) = -mean(t/(z + t v)).
+When t has at most _SCALAR_MAX_RUNS runs (t_k, m_k) of equal values, f and
+f' are Python complex sums of one term per run, else numpy sums over N.
 """
 
 from __future__ import annotations
@@ -80,12 +78,7 @@ __all__ = [
 
 
 class SolverConfig(_Value):
-    """Residual target and iteration budget.
-
-    ``max_iterations`` is the budget of each ladder stage; the direct stage
-    at the target height is capped at 50. The stage damping and the ladder
-    step are the solver's own (see _attempts).
-    """
+    """Residual target and iteration budget of each stage; the solver chooses the rest."""
 
     _fields = ("tolerance", "max_iterations")
 
@@ -103,10 +96,8 @@ DEFAULT_CONFIG = SolverConfig()
 class ResolventProfile(_Value):
     """Converged profile g(., z) with its self-energy, transform and diagnostics.
 
-    ``pi`` is recomputed from the returned g (pi = (1/N) b g), and
-    ``residual`` = max_i |g[i] + 1/(z + pi[i])| measures how far g is from
-    solving the discretized equation. ``residual_history`` is the residual
-    trace of the final continuation stage.
+    ``pi`` = (1/N) b g of the returned g, ``residual`` = max_i |g[i] + 1/(z + pi[i])|,
+    and ``residual_history`` is the residual trace of the final stage.
     """
 
     _fields = ("z", "g", "pi", "S", "iterations", "residual", "residual_history", "stages")
@@ -211,8 +202,7 @@ def _ladder_heights(im_target, mass):
     return heights
 
 
-# Inner ladder stages only seed the next, lower stage, so they stop at this
-# residual; the last stage of every point converges to cfg.tolerance.
+# Residual at which inner ladder stages stop.
 _INNER_TOLERANCE = 1e-4
 # Densities of rank up to this take Newton steps with r x r Jacobians (see
 # _factor); above it the block runs the plain map: on 61-point contours the
@@ -240,15 +230,9 @@ def _no_convergence(z, stage, height, residual, iterations):
 def _attempts(im_target, mass, cfg):
     """Stages to try in turn for one point, as (height, damping, tolerance, budget).
 
-    A generator of attempts, each a tuple of stages whose first starts from
-    the mean-field self-energy at its height and whose later ones start warm:
-    first one direct stage at the target height, within
-    min(cfg.max_iterations, _DIRECT_ITERATIONS), then the full ladder with
-    cfg.max_iterations per stage. The ladder is built only when the caller
-    asks for it, that is when the direct stage has stalled. A stage is
-    certified when B/h^2 < 1, and then takes the full update (damping 1),
-    else half of it (damping 1/2): a damping below 1 marks a stage as
-    uncertified.
+    A generator of two attempts, the direct stage and then the ladder, which
+    is built only when the caller asks for it. A damping below 1 marks a
+    stage as uncertified.
     """
 
     def stage(h, tol, budget):
@@ -265,9 +249,7 @@ def _attempts(im_target, mass, cfg):
 def _factor(bvals, n):
     """Complete-pivot cross approximation bvals/n = U W + E with max|E| <= 1e-12 max bvals/n.
 
-    bvals is a K x K matrix, in _solve_block the lumped b of an N-point grid.
-    Gaussian elimination with full pivoting, stopped early. Returns (U, W),
-    U of size K x r, or None when r would pass _NEWTON_MAX_RANK.
+    Returns (U, W), U of size K x r, or None when r would pass _NEWTON_MAX_RANK.
     """
     rest = np.array(bvals, dtype=float)
     size = len(rest)
@@ -287,14 +269,10 @@ def _factor(bvals, n):
 def _newton_solve(jacs, rhs):
     """y = J^-1 rhs of every column, from the P x r x r stack of J and the r x P rhs.
 
-    At r = 1 this is one division per column, the product form's step
-    (v - f)/(1 - f') in the lumped unknown, and at r = 2 Cramer's rule, forward
-    stable for 2 x 2 systems: neither calls LAPACK. At r >= 3 one batched
-    LAPACK solve takes every column, and when it finds a singular J the
-    columns are solved one at a time. At every r a J that is singular, or not
-    finite, gives a non-finite y in its own column only.
+    A singular or non-finite J gives a non-finite y in its own column only;
+    a batched solve that finds a singular J solves the columns one at a time.
     """
-    if len(rhs) == 1:
+    if len(rhs) <= 1:
         return rhs / jacs.reshape(rhs.shape)
     if len(rhs) == 2:
         (a, b), (c, d) = jacs.transpose(1, 2, 0)
@@ -310,31 +288,13 @@ def _newton_solve(jacs, rhs):
 def _solve_block(b, zs, cfg, newton=False):
     """Solve every point of zs as one column of a K x P block fixed point.
 
-    The block has one row per class of spectral._row_classes, K in all: a run
-    of equal consecutive rows of b, joined with its mirror run when b equals
-    its reversal (K = N when no two neighbours are equal and b does not
-    fold). Its product is with the K x K matrix of each class's first row
-    with the columns of each class summed, S and the Anderson inner products
-    weight class k by its size m_k, and the residual, a max over classes, is
-    the residual against the full b. Each
-    iteration costs one real matrix product for all columns. A column
-    starts each of its point's attempts from pi0 = rowmean(b) S_sc(z; B)
-    at the attempt's first height, warm-starts the attempt's later stages
-    and leaves the block once the point converges; each point walks its own
-    _attempts, so its ladder is built only when its direct stage stalls.
-    ``newton`` factors the K x K matrix with _factor and, when its rank is
-    at most _NEWTON_MAX_RANK, switches every column to Newton steps, each
-    one r x r solve per column (_newton_solve: a division at r = 1, a closed
-    form at r = 2, LAPACK at r >= 3); an iteration in which every column
-    accepts its Newton point skips the damped update. Otherwise each column
-    forms its damped step f = d (pif - pi) once, and the update pi + f and,
-    in a stage of damping below 1 off the Newton path, the Anderson weights
-    read that one f. The Herglotz
-    postcondition is checked once, on every point. Returns per point of zs
-    its S, column-iterations over all attempts, final residual, stage count
-    and last stage's residuals, then (g, pi) of the contour's first point,
-    expanded to the N rows through the class labels: a one-column call's
-    profile.
+    Each point walks its own _attempts, and its column leaves the block once
+    the point converges. ``newton`` asks for Newton steps, which the block
+    takes when _factor finds a low rank. The Herglotz postcondition is
+    checked once, on every point. Returns per point of zs its S,
+    column-iterations over all attempts, final residual, stage count and
+    last stage's residuals, then (g, pi) of the contour's first point on all
+    N rows: a one-column call's profile.
     """
     n, mass = b.n, b.mass
     labels, sizes, bvals = _row_classes(b.values)
@@ -365,7 +325,6 @@ def _solve_block(b, zs, cfg, newton=False):
     start, end = np.zeros((2, size), dtype=np.int64)
     z = np.empty(size, dtype=complex)
     damp, tol = np.empty((2, size))
-    mixed = np.zeros(size, dtype=bool)  # stage outside the certified region
     # K x P blocks of pi and of the previous step f and update G of the Anderson
     # mixing (or the Newton point); g and pi of each point as its column leaves
     pi, fp, gp = np.zeros((3, classes, size), dtype=complex)
@@ -377,13 +336,11 @@ def _solve_block(b, zs, cfg, newton=False):
         h, damp[k], tol[k], budget = plan[p][stage[p]]
         z[k] = complex(zs[p].real, h)
         start[k], end[k] = it, it + budget  # a new start also resets the column's mixing history
-        mixed[k] = damp[k] < 1 and not newton
         history[p] = []
 
     for k in range(size):
         start_stage(k)
     np.multiply.outer(rowmean, _semicircle(mass, z), out=pi)
-    mixing = bool(mixed.any())
     width, deadline = 0, int(end.min())
     while point.size:
         if width != point.size:
@@ -409,9 +366,7 @@ def _solve_block(b, zs, cfg, newton=False):
         # one reduction catches converged columns and NaN residuals alike
         event = it >= deadline or not (res > tol).all()
         if newton:
-            # Newton point pif - U J^-1 W (g^2 (pi - pif)), J = I - W diag(g^2) U,
-            # of every column, in fp: with pi = U c and b/N = U W this is the
-            # step c <- c - J^-1 (c - W g), and it carries the remainder E of b
+            # the Newton point pif - U J^-1 W (g^2 (pi - pif)) of every column, in fp
             np.multiply(g, g, out=s)
             jacs = eye - (jac @ s_r).view(complex).T.reshape(width, r, r)
             np.subtract(pi_r, pif_r, out=w_r)
@@ -430,6 +385,8 @@ def _solve_block(b, zs, cfg, newton=False):
             # the damped step f = d (pif - pi) of every column, in w, and G = pi + f
             np.subtract(pif_r, pi_r, out=w_r)
             w *= damp
+            mixed = damp < 1  # columns whose stage lies outside the certified region
+            mixing = not newton and mixed.any()
             if mixing:
                 # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from f
                 # and df = f - f_prev (in fp), each class's row weighted by its
@@ -447,9 +404,8 @@ def _solve_block(b, zs, cfg, newton=False):
             if newton:
                 np.copyto(pi, fp, where=take)
             elif mixing:
-                # candidate G - gamma (dpi + df), where dpi + df = G - G_prev;
-                # an uncertified column with a previous step in its stage takes
-                # it if it keeps Im pi >= 0, every other column keeps G
+                # candidate G - gamma (dpi + df), where dpi + df = G - G_prev, for the
+                # uncertified columns with a previous step in their stage
                 np.subtract(pi_r, gp_r, out=w_r)
                 gp[...] = pi
                 take = mixed & (it - start >= 2) & (den > 0)
@@ -480,10 +436,9 @@ def _solve_block(b, zs, cfg, newton=False):
             gs[point[finished]] = g[:, finished].T
             pis[point[finished]] = pif[:, finished].T
             keep = np.delete(np.arange(width), finished)
-            point, start, end, z, damp, tol, mixed = (a[keep] for a in (point, start, end, z, damp, tol, mixed))
+            point, start, end, z, damp, tol = (a[keep] for a in (point, start, end, z, damp, tol))
             # take, not a[:, keep]: that can be non-contiguous, which the float64 views refuse
             pi, fp, gp = (a.take(keep, axis=1) for a in (pi, fp, gp))
-        mixing = bool(mixed.any())
         deadline = int(end.min(initial=it))
     _check_herglotz(zs, gs, pis)
     S = (gs * m.T).sum(axis=1) / n
@@ -495,10 +450,8 @@ def _solve_block(b, zs, cfg, newton=False):
 def solve_profile(b, z, cfg=None):
     """Solve the discretized self-consistent equation at one point.
 
-    A one-column block on the plain map in one unknown per class of rows
-    (never factored); g and pi come back on all N rows. Its
-    ``residual_history`` is the residual trace of the final stage, recorded
-    for every point.
+    A one-column block that never takes Newton steps, whose residual history
+    measured_decay_ratio reads; g and pi come back on all N rows.
     """
     z = _upper_half_plane(z)
     _, (its,), (res,), (stages,), (hist,), (g, pi) = _solve_block(b, np.array([z]), cfg or DEFAULT_CONFIG)
@@ -522,18 +475,11 @@ def measured_decay_ratio(profile):
 def solve_curve(b, contour, cfg=None):
     """Solve S(z) along a contour as one block fixed point.
 
-    Every point is its own block column, started from the mean-field
-    self-energy rowmean(b) S_sc(z; B). Columns are
-    independent: a point's S (up to rounding) and ``iterations`` (its own
-    column-iterations, over all attempts) match a solve of that point alone.
-    A density whose K x K lumped matrix has rank r <= _NEWTON_MAX_RANK (one
-    _factor of it per call) is solved by Newton steps in r unknowns, whose
-    iterations each cost a matrix product with that matrix plus an r x r
-    solve, in closed form at r <= 2; other densities run the plain map on it.
-    A density equal to its reversal folds onto mirror classes first, which
-    about halves that rank.
-    Points come back in contour order. NoConvergence names the first point
-    to fail, ties going to the earlier point of the contour.
+    Columns are independent: a point's S (up to rounding) and ``iterations``
+    (its own column-iterations over all attempts, the stalled ones included)
+    match a solve of that point alone. Points come back in contour order.
+    NoConvergence names the first point to fail, ties going to the earlier
+    point of the contour.
     """
     zs = _upper_half_plane(np.ravel(contour))
     if not zs.size:
@@ -622,13 +568,10 @@ def _scalar_stage(sums, z, v, damping, tol, max_iter):
 def solve_product_form(t, z, cfg=None):
     """Solve the scalar reduction for a rank-one density b(x, y) = t(x) t(y).
 
-    Continuation follows the full solver's attempts, with the profile's mean
-    square in the role of the contraction mass (it dominates the rank-one
-    grid mass). Each attempt starts from v0 = mean(t) S_sc(z; mean(t)^2) at
-    its first height, the block's mean-field start divided by t, as
-    pi = t v. ``iterations`` counts every attempt, the stalled ones included.
-    A profile of at most _SCALAR_MAX_RUNS runs is summed run by run in Python,
-    a longer one entry by entry in numpy.
+    It walks the full solver's attempts with mean(t^2), which dominates the
+    rank-one grid mass, as the mass, each from v0 = mean(t) S_sc(z; mean(t)^2):
+    the block's start pi0 = t v0. ``iterations`` counts every attempt, the
+    stalled ones included.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = _upper_half_plane(z)

@@ -1,5 +1,7 @@
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,7 +12,7 @@ import pytest
 
 import lsdlab
 from lsdlab import DensityGrid, io
-from lsdlab.cli import _threads, main, parse_contour_spec
+from lsdlab.cli import _threads, build_parser, main, parse_contour_spec
 from lsdlab.errors import InvalidInput, LsdlabError
 
 
@@ -121,6 +123,19 @@ def test_sha256_file_is_the_digest_of_the_bytes(tmp_path):
     path = tmp_path / "data.bin"
     path.write_bytes(bytes(range(256)) * 3)
     assert io.sha256_file(path) == hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_readme_synopsis_lists_the_flags_of_each_subcommand():
+    # the sh block under "## CLI" in README, one "lsdlab COMMAND ..." line per subcommand
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## CLI")[1].split("```sh")[1].split("```")[0].replace("\\\n", " ")
+    documented = {line.split()[1]: set(re.findall(r"--[a-z-]+", line)) for line in block.strip().splitlines()}
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    defined = {
+        name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+        for name, sub in commands.choices.items()
+    }
+    assert documented == defined
 
 
 def test_contour_spec_parsing():
@@ -494,6 +509,22 @@ def test_non_finite_spec_exits_2_before_any_work(tmp_path, capsys, monkeypatch, 
     code, out = run_forbidding_work(tmp_path, monkeypatch, command, spec)
     assert code == 2
     assert "finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "spec, flags",
+    [
+        ("-1e308:1e308:3", ["--contour", "im=0.05,re=-1e308:1e308:3"]),
+        ("-1e308:1e308:3", ["--contour", "im=0.05,re=-1:1:3", "--xs=-1e308:1e308:3"]),
+    ],
+    ids=["contour", "xs"],
+)
+def test_a_range_whose_width_overflows_exits_2_naming_the_spec(tmp_path, capsys, monkeypatch, spec, flags):
+    # both bounds are finite, but hi - lo is not; warnings are errors under pytest
+    code, out = run_forbidding_work(tmp_path, monkeypatch, "solve", flags)
+    assert code == 2
+    assert f"bad range spec {spec!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

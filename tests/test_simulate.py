@@ -215,9 +215,8 @@ class TestSpectrum:
         with pytest.raises(InvalidInput):
             spectrum(np.array(m))
 
-    # the check runs one row block at a time; the last, partial block counts too.
-    # (n - 1, n - 2) sits inside the last block's diagonal tile; (n - 1, 0) has
-    # its positive difference only in the last block, its negative in the first
+    # a size that is no multiple of _ROW_BLOCK, with the asymmetry in its last row:
+    # (n - 1, n - 2) next to the diagonal, (n - 1, 0) in the far corner
     @pytest.mark.parametrize("cell", [(-1, -2), (-1, 0)])
     def test_rejects_asymmetry_in_the_last_row_block(self, cell):
         n = 2 * _ROW_BLOCK + 5

@@ -620,6 +620,16 @@ class TestSolveCurve:
                 for z, s in zip(zs, curve.S):
                     assert abs(s - solve_profile(b, z).S) <= 1e-9
 
+    def test_a_zero_density_never_calls_lapack(self, monkeypatch):
+        # it factors with rank 0, whose empty Newton solve is the division of rank 1
+        def lapack(*args):
+            raise AssertionError("np.linalg.solve called on a zero density")
+
+        monkeypatch.setattr(np.linalg, "solve", lapack)
+        zs = np.array([1j, 0.3 + 0.05j, -2 + 1e-3j])
+        curve = solve_curve(DensityGrid(8, np.zeros((8, 8))), zs)
+        assert np.array_equal(curve.S, -1 / zs)
+
     def test_full_rank_densities_pin_the_column_iterations_of_the_plain_map(self):
         # the damped update with Anderson(1) mixing, the path of every density above
         # rank _NEWTON_MAX_RANK: no workload runs it, so its counts are pinned here
