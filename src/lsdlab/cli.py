@@ -340,11 +340,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DENSITY
     except NoConvergence as exc:
-        print(
-            f"error: no convergence (stage={exc.stage}, height={exc.height}, "
-            f"residual={exc.residual}): {exc}",
-            file=sys.stderr,
-        )
+        print(f"error: no convergence (height={exc.height}, residual={exc.residual}): {exc}", file=sys.stderr)
         return EXIT_SOLVER
     except (InvalidInput, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

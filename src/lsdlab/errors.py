@@ -18,13 +18,12 @@ class NotADensity(LsdlabError):
 class NoConvergence(LsdlabError):
     """A fixed-point iteration exhausted its budget.
 
-    Carries the continuation stage index, the height Im z of the failing
-    stage and the last residual so callers can report where the solve stuck.
+    Carries the height Im z of the failing point and its last residual so
+    callers can report where the solve stuck.
     """
 
-    def __init__(self, message, stage=None, height=None, residual=None):
+    def __init__(self, message, height=None, residual=None):
         super().__init__(message)
-        self.stage = stage
         self.height = height
         self.residual = residual
 

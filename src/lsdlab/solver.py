@@ -9,34 +9,29 @@ by iteration on the self-energy pi = (1/N) b g. The map
 pi <- -(1/N) sum_j b[., j]/(z + pi[j]) preserves Im pi >= 0 and hence
 |z + pi| >= Im z, so every iterate satisfies the Herglotz bounds Im g > 0
 and |g| <= 1/Im z. It contracts a priori with factor B/(Im z)^2, B the grid
-mass, so a stage at height h is certified when B < h^2.
+mass, so a point at height h is certified when B < h^2.
 
-Every attempt starts from the mean-field self-energy pi0 = rowmean(b) S_sc(z),
+Every point starts from the mean-field self-energy pi0 = rowmean(b) S_sc(z),
 S_sc the semicircle transform of mass B: the exact solution for a constant
 density. The solution in the upper half-plane is unique (Helton, Rashidi Far
 & Speicher, IMRN 2007), so this start reaches the same fixed point as any
-other there, in fewer iterations.
+other there, in fewer iterations. Each point is solved at its own height,
+with no continuation in Im z, within max_iterations iterations in all
+(convergence below sqrt(B) is empirical, not certified).
 
-Each point first runs one direct stage at its target height, capped at
-_DIRECT_ITERATIONS. A stall restarts it on a ladder from
-max(Im z, 2 sqrt(B + 1)), where the factor is below 1/4, that lowers Im z by
-_CONTINUATION_FACTOR and warm-starts each stage (convergence below sqrt(B)
-is empirical, not certified). Inner ladder stages only seed the next one,
-so they stop at the loose residual max(_INNER_TOLERANCE, tolerance).
-
-Each iteration forms the damped step f = d ((1/N) b g - pi) once, d = 1 in
-certified stages and 1/2 in the others. Certified stages take the plain
-update pi + f, whose rate the certificate bounds. The others accelerate it
-with Anderson mixing of depth 1 on that f (Walker & Ni, SIAM J. Numer.
-Anal. 2011): with df and dpi the differences from the stage's previous
-iteration, a column takes (pi + f) - gamma (dpi + df),
-gamma = <df, f>/<df, df>, only if it keeps Im pi >= 0.
+Each iteration forms the damped step f = d ((1/N) b g - pi) once, d = 1 at
+certified points and 1/2 at the others (_damping). Certified points take the
+plain update pi + f, whose rate the certificate bounds. The others accelerate
+it with Anderson mixing of depth 1 on that f (Walker & Ni, SIAM J. Numer.
+Anal. 2011): with df and dpi the differences from the previous iteration, a
+column takes (pi + f) - gamma (dpi + df), gamma = <df, f>/<df, df>, only if
+it keeps Im pi >= 0.
 
 The unknowns are lumped onto the row classes of spectral._row_classes, K in
 all, and a contour is one K x P block, a column per point with its own
-height, damping and tolerance: one iteration is one real K x K matrix
-product for the whole contour, S and the inner products weight a class by
-its size, and the residual, a max over classes, is that of the full b.
+height and damping: one iteration is one real K x K matrix product for the
+whole contour, S and the inner products weight a class by its size, and the
+residual, a max over classes, is that of the full b.
 When the lumped b/N = U W has rank r <= _NEWTON_MAX_RANK, solve_curve takes
 Newton steps instead, to pif - U J^-1 W (g^2 (pi - pif)), pif = (1/N) b g,
 with the r x r Jacobian J = I - W diag(g^2) U: for pi = U c the step
@@ -47,9 +42,10 @@ is not finite or leaves Im pi >= 0 gives way to the damped update, in its
 own column.
 
 The product form b = t(x) t(y) reduces to one scalar equation in v, with
-pi = t v, solved by Newton steps on v - f(v), f(v) = -mean(t/(z + t v)).
-When t has at most _SCALAR_MAX_RUNS runs (t_k, m_k) of equal values, f and
-f' are Python complex sums of one term per run, else numpy sums over N.
+pi = t v, solved by Newton steps on v - f(v), f(v) = -mean(t/(z + t v)),
+with the damped step of the same rule where a Newton point fails. When t
+has at most _SCALAR_MAX_RUNS runs (t_k, m_k) of equal values, f and f' are
+Python complex sums of one term per run, else numpy sums over N.
 """
 
 from __future__ import annotations
@@ -78,7 +74,7 @@ __all__ = [
 
 
 class SolverConfig(_Value):
-    """Residual target and iteration budget of each stage; the solver chooses the rest."""
+    """Residual target and iteration budget of each point's solve; the solver chooses the rest."""
 
     _fields = ("tolerance", "max_iterations")
 
@@ -97,28 +93,36 @@ class ResolventProfile(_Value):
     """Converged profile g(., z) with its self-energy, transform and diagnostics.
 
     ``pi`` = (1/N) b g of the returned g, ``residual`` = max_i |g[i] + 1/(z + pi[i])|,
-    and ``residual_history`` is the residual trace of the final stage.
+    and ``residual_history`` is the residual of every iteration.
     """
 
-    _fields = ("z", "g", "pi", "S", "iterations", "residual", "residual_history", "stages")
+    _fields = ("z", "g", "pi", "S", "iterations", "residual", "residual_history")
 
-    def __init__(self, z, g, pi, iterations=0, residual=0.0, residual_history=None, stages=1):
+    def __init__(self, z, g, pi, iterations=0, residual=0.0, residual_history=None):
         g = _frozen(g, complex)
         pi = _frozen(pi, complex)
         _check_herglotz(z, g, pi)
         hist = _frozen([residual] if residual_history is None else residual_history)
-        self._set(z, g, pi, complex(g.mean()), iterations, residual, hist, stages)
+        self._set(z, g, pi, complex(g.mean()), iterations, residual, hist)
 
 
 def _check_herglotz(z, g, pi):
     """Raise unless g and pi, one row per point z, keep the Herglotz bounds.
 
     Each row's Im pi >= 0 is judged on that row's scale, 1e-15 (1 + max|pi|).
+    An Im g of 0 where Im(z + pi) > 0 and Im(z + pi)/|z + pi|^2 underflows is
+    a point float64 cannot resolve: bad input, not a solver failure.
     """
     z = np.reshape(z, (-1, 1))
+    g, pi = (np.reshape(a, (len(z), -1)) for a in (g, pi))
     slack = 1.0 + 1e-12
-    if (g.imag <= 0).any():
-        raise LsdlabError("solver postcondition failed: Im g > 0")
+    lost = g.imag <= 0
+    if lost.any():
+        w = (z + pi)[lost]
+        with np.errstate(all="ignore"):
+            underflows = w.imag / np.abs(w) / np.abs(w) == 0
+        if not ((g.imag[lost] == 0) & (w.imag > 0) & underflows).all():
+            raise LsdlabError("solver postcondition failed: Im g > 0")
     if (np.abs(g) * z.imag > slack).any():
         raise LsdlabError("solver postcondition failed: |g| <= 1/Im z")
     # the bound is negative, so the row scales matter only where some Im pi < 0
@@ -126,6 +130,9 @@ def _check_herglotz(z, g, pi):
         raise LsdlabError("solver postcondition failed: Im pi >= 0")
     if (np.abs(z + pi) < z.imag / slack).any():
         raise LsdlabError("solver postcondition failed: |z + pi| >= Im z")
+    if lost.any():
+        point = complex(z[lost.any(axis=1)][0, 0])
+        raise InvalidInput(f"contour point z = {point:.6g}: Im g = Im(z + pi)/|z + pi|^2 underflows float64")
 
 
 class ScalarSolution(_Value):
@@ -189,61 +196,28 @@ def continuity_bound(b1, b2, z):
     return float(z.imag * l1 / ((z.imag**2 - bmax) * z.imag**2))
 
 
-# Geometric step by which the ladder lowers Im z.
-_CONTINUATION_FACTOR = 0.7
-
-
-def _ladder_heights(im_target, mass):
-    heights = [max(im_target, 2.0 * np.sqrt(mass + 1.0))]
-    while heights[-1] * _CONTINUATION_FACTOR > im_target:
-        heights.append(heights[-1] * _CONTINUATION_FACTOR)
-    if heights[-1] > im_target:
-        heights.append(im_target)
-    return heights
-
-
-# Residual at which inner ladder stages stop.
-_INNER_TOLERANCE = 1e-4
 # Densities of rank up to this take Newton steps with r x r Jacobians (see
 # _factor); above it the block runs the plain map: on 61-point contours the
 # two broke even near r = 32 at N = 128 and r = 43 at N = 256.
 _NEWTON_MAX_RANK = 32
-# Profiles of up to this many runs of equal values take the scalar stage's
+# Profiles of up to this many runs of equal values take the scalar solve's
 # sums as one Python term per run; longer ones take numpy over all N entries,
-# whose call overhead a long Python sum outgrows: one stage broke even near
+# whose call overhead a long Python sum outgrows: one solve broke even near
 # 16 runs at N = 128.
 _SCALAR_MAX_RUNS = 16
-# Iteration cap of every point's direct stage at its target height.
-_DIRECT_ITERATIONS = 50
 
 
-def _no_convergence(z, stage, height, residual, iterations):
+def _no_convergence(z, residual, iterations):
     return NoConvergence(
-        f"contour point z = {z:.6g}: stage {stage} at Im z = {height:.6g}: "
-        f"residual {residual:.3e} after {iterations} iterations",
-        stage=stage,
-        height=height,
+        f"contour point z = {z:.6g}: residual {residual:.3e} after {iterations} iterations",
+        height=z.imag,
         residual=residual,
     )
 
 
-def _attempts(im_target, mass, cfg):
-    """Stages to try in turn for one point, as (height, damping, tolerance, budget).
-
-    A generator of two attempts, the direct stage and then the ladder, which
-    is built only when the caller asks for it. A damping below 1 marks a
-    stage as uncertified.
-    """
-
-    def stage(h, tol, budget):
-        certified = mass < h * h  # compared, not divided: h * h is 0 below about 1.5e-162
-        return h, 1.0 if certified else 0.5, tol, budget
-
-    yield (stage(im_target, cfg.tolerance, min(cfg.max_iterations, _DIRECT_ITERATIONS)),)
-    *inner, last = _ladder_heights(im_target, mass)
-    loose = max(_INNER_TOLERANCE, cfg.tolerance)
-    budget = cfg.max_iterations
-    yield tuple(stage(h, loose, budget) for h in inner) + (stage(last, cfg.tolerance, budget),)
+def _damping(mass, h):
+    """Damping d of the step f = d (pif - pi) at height h: 1 where certified (B < h^2), else 1/2."""
+    return 1.0 if mass < h * h else 0.5  # compared, not divided: h * h is 0 below about 1.5e-162
 
 
 def _factor(bvals, n):
@@ -288,13 +262,12 @@ def _newton_solve(jacs, rhs):
 def _solve_block(b, zs, cfg, newton=False):
     """Solve every point of zs as one column of a K x P block fixed point.
 
-    Each point walks its own _attempts, and its column leaves the block once
-    the point converges. ``newton`` asks for Newton steps, which the block
-    takes when _factor finds a low rank. The Herglotz postcondition is
-    checked once, on every point. Returns per point of zs its S,
-    column-iterations over all attempts, final residual, stage count and
-    last stage's residuals, then (g, pi) of the contour's first point on all
-    N rows: a one-column call's profile.
+    A column leaves the block once its point converges. ``newton`` asks for
+    Newton steps, which the block takes when _factor finds a low rank. The
+    Herglotz postcondition is checked once, on every point. Returns per point
+    of zs its S, column-iterations, final residual and residual of every
+    iteration, then (g, pi) of the contour's first point on all N rows: a
+    one-column call's profile.
     """
     n, mass = b.n, b.mass
     labels, sizes, bvals = _row_classes(b.values)
@@ -311,37 +284,18 @@ def _solve_block(b, zs, cfg, newton=False):
         jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, classes)
         eye = np.eye(r)
     size = len(zs)
-    # per point: the generator of its attempts, the stages of its current attempt,
-    # where it is in them, and its results
-    attempts = [_attempts(h, mass, cfg) for h in zs.imag.tolist()]
-    plan = [next(more) for more in attempts]
-    stage = [0] * size
-    count = [0] * size  # column-iterations over all attempts
-    history = [[] for _ in range(size)]  # residuals of the current stage, the last one final
-    # per column, each a vector of the block's width: the point it solves, the block
-    # iterations at which its stage began and at which its budget runs out, its z and
-    # its damping d
+    history = [[] for _ in range(size)]  # per point, the residual of each of its iterations
+    # per column, each a vector of the block's width: the point it solves, its z and its damping d
     point = np.arange(size)
-    start, end = np.zeros((2, size), dtype=np.int64)
-    z = np.empty(size, dtype=complex)
-    damp, tol = np.empty((2, size))
+    z = zs.astype(complex)
+    damp = np.array([_damping(mass, h) for h in zs.imag.tolist()])
     # K x P blocks of pi and of the previous step f and update G of the Anderson
     # mixing (or the Newton point); g and pi of each point as its column leaves
     pi, fp, gp = np.zeros((3, classes, size), dtype=complex)
     gs, pis = np.empty((2, size, classes), dtype=complex)
-    it = 0
-
-    def start_stage(k):
-        p = point[k]
-        h, damp[k], tol[k], budget = plan[p][stage[p]]
-        z[k] = complex(zs[p].real, h)
-        start[k], end[k] = it, it + budget  # a new start also resets the column's mixing history
-        history[p] = []
-
-    for k in range(size):
-        start_stage(k)
     np.multiply.outer(rowmean, _semicircle(mass, z), out=pi)
-    width, deadline = 0, int(end.min())
+    tol, budget = cfg.tolerance, cfg.max_iterations
+    width = it = 0
     while point.size:
         if width != point.size:
             width = point.size
@@ -363,8 +317,6 @@ def _solve_block(b, zs, cfg, newton=False):
         it += 1
         for p, x in zip(points, res.tolist()):
             history[p].append(x)
-        # one reduction catches converged columns and NaN residuals alike
-        event = it >= deadline or not (res > tol).all()
         if newton:
             # the Newton point pif - U J^-1 W (g^2 (pi - pif)) of every column, in fp
             np.multiply(g, g, out=s)
@@ -385,7 +337,7 @@ def _solve_block(b, zs, cfg, newton=False):
             # the damped step f = d (pif - pi) of every column, in w, and G = pi + f
             np.subtract(pif_r, pi_r, out=w_r)
             w *= damp
-            mixed = damp < 1  # columns whose stage lies outside the certified region
+            mixed = damp < 1  # columns whose point lies outside the certified region
             mixing = not newton and mixed.any()
             if mixing:
                 # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from f
@@ -405,46 +357,33 @@ def _solve_block(b, zs, cfg, newton=False):
                 np.copyto(pi, fp, where=take)
             elif mixing:
                 # candidate G - gamma (dpi + df), where dpi + df = G - G_prev, for the
-                # uncertified columns with a previous step in their stage
+                # uncertified columns once they have a previous step
                 np.subtract(pi_r, gp_r, out=w_r)
                 gp[...] = pi
-                take = mixed & (it - start >= 2) & (den > 0)
+                take = mixed & (it >= 2) & (den > 0)
                 w *= np.divide(num, den, out=np.zeros_like(num), where=take)
                 np.subtract(pi_r, w_r, out=w_r)
                 take &= (w.imag >= 0).all(axis=0)
                 np.copyto(pi, w, where=take)
-        if not event:
+        # one reduction catches converged columns and NaN residuals alike
+        if it < budget and (res > tol).all():
             continue
         done = res <= tol
-        finished = []
-        for k in np.flatnonzero(done | (end <= it) | ~(res < np.inf)).tolist():
-            p, stage_its = points[k], it - int(start[k])
-            count[p] += stage_its
-            if done[k] and stage[p] + 1 == len(plan[p]):
-                finished.append(k)
-            elif done[k]:
-                pi[:, k] = pif[:, k]
-                stage[p] += 1
-                start_stage(k)
-            elif res[k] < np.inf and (retry := next(attempts[p], None)):
-                plan[p], stage[p] = retry, 0
-                start_stage(k)
-                pi[:, k] = rowmean * _semicircle(mass, z[k])
-            else:
-                raise _no_convergence(complex(zs[p]), stage[p], float(z[k].imag), float(res[k]), stage_its)
-        if finished:
-            gs[point[finished]] = g[:, finished].T
-            pis[point[finished]] = pif[:, finished].T
-            keep = np.delete(np.arange(width), finished)
-            point, start, end, z, damp, tol = (a[keep] for a in (point, start, end, z, damp, tol))
-            # take, not a[:, keep]: that can be non-contiguous, which the float64 views refuse
-            pi, fp, gp = (a.take(keep, axis=1) for a in (pi, fp, gp))
-        deadline = int(end.min(initial=it))
+        stuck = ~(res < np.inf) | (~done & (it >= budget))
+        if stuck.any():
+            k = int(stuck.argmax())
+            raise _no_convergence(complex(zs[points[k]]), float(res[k]), it)
+        finished = np.flatnonzero(done)
+        gs[point[finished]] = g[:, finished].T
+        pis[point[finished]] = pif[:, finished].T
+        keep = np.flatnonzero(~done)
+        point, z, damp = (a[keep] for a in (point, z, damp))
+        # take, not a[:, keep]: that can be non-contiguous, which the float64 views refuse
+        pi, fp, gp = (a.take(keep, axis=1) for a in (pi, fp, gp))
     _check_herglotz(zs, gs, pis)
     S = (gs * m.T).sum(axis=1) / n
-    stages = [len(stages) for stages in plan]
     profile = gs[0][labels], pis[0][labels]
-    return S, count, [trace[-1] for trace in history], stages, history, profile
+    return S, [len(trace) for trace in history], [trace[-1] for trace in history], history, profile
 
 
 def solve_profile(b, z, cfg=None):
@@ -454,15 +393,15 @@ def solve_profile(b, z, cfg=None):
     measured_decay_ratio reads; g and pi come back on all N rows.
     """
     z = _upper_half_plane(z)
-    _, (its,), (res,), (stages,), (hist,), (g, pi) = _solve_block(b, np.array([z]), cfg or DEFAULT_CONFIG)
-    return ResolventProfile(z, g, pi, iterations=int(its), residual=float(res), residual_history=hist, stages=stages)
+    _, (its,), (res,), (hist,), (g, pi) = _solve_block(b, np.array([z]), cfg or DEFAULT_CONFIG)
+    return ResolventProfile(z, g, pi, iterations=int(its), residual=float(res), residual_history=hist)
 
 
 def measured_decay_ratio(profile):
     """Geometric-mean residual decay over the last 10 iterations.
 
-    This is the decay of the plain damped map only when the final stage is
-    certified (B/(Im z)^2 < 1); uncertified stages are Anderson-mixed.
+    This is the decay of the plain damped map only where the point is
+    certified (B/(Im z)^2 < 1); elsewhere the map is Anderson-mixed.
     """
     h = np.asarray(profile.residual_history, dtype=float)
     h = h[h > 0]
@@ -476,10 +415,9 @@ def solve_curve(b, contour, cfg=None):
     """Solve S(z) along a contour as one block fixed point.
 
     Columns are independent: a point's S (up to rounding) and ``iterations``
-    (its own column-iterations over all attempts, the stalled ones included)
-    match a solve of that point alone. Points come back in contour order.
-    NoConvergence names the first point to fail, ties going to the earlier
-    point of the contour.
+    (its own column-iterations) match a solve of that point alone. Points
+    come back in contour order. NoConvergence names the first point to fail,
+    ties going to the earlier point of the contour.
     """
     zs = _upper_half_plane(np.ravel(contour))
     if not zs.size:
@@ -541,7 +479,7 @@ def _array_sums(t):
     return sums, transform
 
 
-def _scalar_stage(sums, z, v, damping, tol, max_iter):
+def _scalar_solve(sums, z, v, damping, tol, max_iter):
     """Newton's method on v - f(v) = 0, with f(v) and f'(v) from sums(z, v).
 
     A Newton point that is not finite or leaves the upper half-plane is
@@ -568,27 +506,19 @@ def _scalar_stage(sums, z, v, damping, tol, max_iter):
 def solve_product_form(t, z, cfg=None):
     """Solve the scalar reduction for a rank-one density b(x, y) = t(x) t(y).
 
-    It walks the full solver's attempts with mean(t^2), which dominates the
-    rank-one grid mass, as the mass, each from v0 = mean(t) S_sc(z; mean(t)^2):
-    the block's start pi0 = t v0. ``iterations`` counts every attempt, the
-    stalled ones included.
+    It damps as the block does, with mean(t^2), which dominates the rank-one
+    grid mass, as the mass, and starts from v0 = mean(t) S_sc(z; mean(t)^2):
+    the block's start pi0 = t v0.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = _upper_half_plane(z)
     mean_t = t.mean
     sums, transform = _run_sums(t.runs, t.n) if len(t.runs) <= _SCALAR_MAX_RUNS else _array_sums(t.values)
-    total = 0
-    for stages in _attempts(z.imag, t.mean_square, cfg):
-        v = mean_t * complex(_semicircle(mean_t * mean_t, complex(z.real, stages[0][0])))
-        for stage, (h, d, tol, budget) in enumerate(stages):
-            v, res, its, ok = _scalar_stage(sums, complex(z.real, h), v, d, tol, budget)
-            total += its
-            if not ok:
-                break
-        if ok:
-            break
-    else:
-        raise _no_convergence(z, stage, h, res, its)
+    v = mean_t * complex(_semicircle(mean_t * mean_t, z))
+    damping = _damping(t.mean_square, z.imag)
+    v, res, its, ok = _scalar_solve(sums, z, v, damping, cfg.tolerance, cfg.max_iterations)
+    if not ok:
+        raise _no_convergence(z, res, its)
     if v.imag < -1e-15 * (1.0 + abs(v)):
         raise LsdlabError("scalar solver postcondition failed: Im v >= 0")
     # Im v >= mean(t) Im z / a^2, a = |z| + max(t) mean(t) / Im z: > 0 unless that underflows
@@ -597,4 +527,4 @@ def solve_product_form(t, z, cfg=None):
         raise LsdlabError("scalar solver postcondition failed: Im v > 0")
     if abs(v) > (1.0 + 1e-9) * mean_t / z.imag:
         raise LsdlabError("scalar solver postcondition failed: |v| <= mean(t)/Im z")
-    return ScalarSolution(z=z, v=v, S=complex(transform(z, v)), iterations=total, residual=res)
+    return ScalarSolution(z=z, v=v, S=complex(transform(z, v)), iterations=its, residual=res)

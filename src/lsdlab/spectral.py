@@ -220,7 +220,7 @@ class DensityGrid(_Value):
         v.setflags(write=False)
         with np.errstate(over="ignore"):  # an overflowing mass is refused below
             mass = float(v.mean())
-        if not mass < np.inf:  # the solver's ladder would start at an infinite height
+        if not mass < np.inf:  # the solver's mean-field start needs a finite mass
             raise InvalidInput("density grid mass overflows")
         self._set(n, v, mass)
 
@@ -250,7 +250,7 @@ class ProfileFunction(_Value):
             raise InvalidInput("profile values must be nonnegative")
         with np.errstate(over="ignore"):  # an overflowing mean square is refused below
             mean_square = float(np.mean(t * t))
-        if not mean_square < np.inf:  # the solver's ladder would start at an infinite height
+        if not mean_square < np.inf:  # it bounds the rank-one mass, which the solver needs finite
             raise InvalidInput("profile mean square overflows")
         values, cuts = t.tolist(), [0, *(np.flatnonzero(t[1:] != t[:-1]) + 1).tolist(), t.size]
         runs = tuple((values[a], b - a) for a, b in zip(cuts, cuts[1:]))

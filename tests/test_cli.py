@@ -431,6 +431,30 @@ class TestSolveCommand:
         assert np.array_equal(curve.iterations, near.iterations)
         assert np.abs(curve.S - near.S).max() <= 1e-12
 
+    @pytest.mark.parametrize(
+        "contour, code, named",
+        [
+            ("im=0.05,re=-1e162:1e162:3", 2, "-1e+162+0.05j"),
+            ("im=5e-324,re=4.5:5:2", 2, "4.5+4.94066e-324j"),
+            ("im=0.05,re=-1e161:1e161:3", 0, None),
+            ("im=5e-324,re=-1.9:1.9:3", 0, None),
+        ],
+    )
+    def test_an_im_g_that_underflows_exits_2(self, tmp_path, capsys, contour, code, named):
+        # Im g = Im(z + pi)/|z + pi|^2 underflows at |Re z| = 1e162, and outside the
+        # support at the least height; Im z/|z|^2 underflows at 1.9 + 5e-324i too,
+        # yet that point solves, since Im pi keeps Im g normal
+        model = write_model(tmp_path, "0 0 1.0\n1 0 1.0\n0 1 1.0\n")
+        args = ["solve", str(model), "--grid", "16", "--contour", contour, "--out-dir", str(tmp_path / "o")]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(args) == code
+        err = capsys.readouterr().err
+        if named is None:
+            assert err == ""
+        else:
+            assert f"error: contour point z = {named}: Im g = Im(z + pi)/|z + pi|^2 underflows float64" in err
+
     def test_solver_postcondition_failure_exits_4(self, tmp_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise LsdlabError("solver postcondition failed: Im g > 0")

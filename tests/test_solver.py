@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -227,32 +228,21 @@ class TestSolveProfile:
         with pytest.raises(InvalidInput):
             solve_profile(constant_density(1.0), 1.0 + 0j)
 
-    def test_no_convergence_reports_stage(self):
+    def test_no_convergence_reports_height_and_residual(self):
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
-        with pytest.raises(NoConvergence) as info:
-            solve_profile(step_density([0.5, 1.5, 1.0], 64), 0.05j, cfg)
-        assert info.value.stage is not None
-        assert info.value.residual is not None
+        with pytest.raises(NoConvergence, match="after 2 iterations") as info:
+            solve_profile(step_density([0.5, 1.5, 1.0], 64), 0.3 + 0.05j, cfg)
+        assert info.value.height == 0.05
+        assert info.value.residual > 1e-14
 
     def test_direct_stage_converges_below_sqrt_mass(self):
         prof = solve_profile(step_density([1.0, 3.0, 2.0], 64), 0.1j)
-        assert prof.stages == 1
         assert prof.residual <= 1e-10
-
-    def test_continuation_engages_below_sqrt_mass(self, monkeypatch):
-        monkeypatch.setattr(solver, "_DIRECT_ITERATIONS", 1)  # the direct stage stalls
-        prof = solve_profile(step_density([1.0, 3.0, 2.0], 64), 0.1j)
-        assert prof.stages > 1
-        assert prof.residual <= 1e-10
+        # the history holds every iteration of the point's one run at its own height
+        assert len(prof.residual_history) == prof.iterations
 
 
 class TestContraction:
-    def test_ladder_starts_where_the_certificate_is_below_a_quarter(self):
-        for target, mass in ((0.05, 3.0), (0.05, 0.0), (10.0, 3.0)):
-            heights = solver._ladder_heights(target, mass)
-            assert heights[0] == max(target, 2.0 * np.sqrt(mass + 1.0))
-            assert mass / heights[0] ** 2 < 0.25 and heights[-1] == target
-
     def test_certificate_value(self):
         assert contraction_certificate(constant_density(1.0, 8), 2j) == pytest.approx(0.25)
 
@@ -392,69 +382,37 @@ class TestSolveCurve:
             assert res <= 1e-10
 
     def test_direct_stage_saves_iterations_on_the_full_rank_map(self):
-        # below sqrt(mass) = 2 the ladder alone took 753 column-iterations
         b = full_rank_density(np.random.default_rng(41), 48, 4.0)
         assert solver._factor(b.values, b.n) is None
         curve = solve_curve(b, np.linspace(-3.0, 3.0, 13) + 0.1j)
         assert curve.iterations.sum() <= 500
         assert curve.residuals.max() <= 1e-10
 
-    def test_loose_inner_stages_save_iterations(self, monkeypatch):
-        # a full-rank grid runs the N x N map; without the direct stage its points take the ladder
-        b = full_rank_density(np.random.default_rng(41), 48, 4.0)
-        assert solver._factor(b.values, b.n) is None
-        attempts = solver._attempts
-        monkeypatch.setattr(solver, "_attempts", lambda *a: itertools.islice(attempts(*a), 1, None))  # the ladder alone
-        contour = np.linspace(-3.0, 3.0, 13) + 0.1j  # below sqrt(mass) = 2
-        loose = solve_curve(b, contour)
-        monkeypatch.setattr(solver, "_INNER_TOLERANCE", 0.0)  # every stage to full tolerance
-        full = solve_curve(b, contour)
-        assert loose.iterations.sum() < full.iterations.sum()
-        assert np.abs(loose.S - full.S).max() <= 10 * 1e-10
-
-    def test_a_point_that_converges_directly_builds_no_ladder(self, monkeypatch):
-        # at this factor the ladder to Im z = 0.05 at mass 3 has 43,820 stages
-        b, t = constant_density(3.0, 16), profile_from_steps([np.sqrt(3.0)], 16)
-        contour = np.linspace(-2.0, 2.0, 5) + 0.05j
-        direct = solve_curve(b, contour)
-        scalar = [solve_product_form(t, z) for z in contour]
-
-        def no_ladder(*args):
-            raise AssertionError("a ladder was built")
-
-        monkeypatch.setattr(solver, "_ladder_heights", no_ladder)
-        monkeypatch.setattr(solver, "_CONTINUATION_FACTOR", 0.9999)
-        fine = solve_curve(b, contour)
-        assert np.array_equal(fine.S, direct.S)
-        assert np.array_equal(fine.iterations, direct.iterations)
-        for z, expected in zip(contour, scalar):
-            got = solve_product_form(t, z)
-            assert (got.S, got.iterations) == (expected.S, expected.iterations)
-
-    def test_stalled_direct_stage_restarts_through_ladder(self, monkeypatch):
-        # near the spectral edge the direct Newton stage stalls within 5 iterations
+    def test_max_iterations_bounds_a_points_whole_solve(self, monkeypatch):
+        # near the spectral edge the point needs more than 5 Newton iterations
         b = step_density([1.0, 3.0, 2.0], 16)
         z = [4.02 + 0.005j]
-        cfg = SolverConfig(max_iterations=5)
-        stalled = solve_curve(b, z, cfg)
-        assert abs(stalled.S[0] - solve_curve(b, z).S[0]) <= 10 * 1e-10
-        attempts = solver._attempts
-        monkeypatch.setattr(solver, "_attempts", lambda *a: itertools.islice(attempts(*a), 1, None))  # the ladder alone
-        ladder = solve_curve(b, z, cfg)
-        assert stalled.S[0] == ladder.S[0]
-        assert stalled.iterations[0] == ladder.iterations[0] + cfg.max_iterations
+        needed = int(solve_curve(b, z).iterations[0])
+        assert needed > 5
+        calls = []
+        newton_solve = solver._newton_solve
+        monkeypatch.setattr(solver, "_newton_solve", lambda *args: calls.append(None) or newton_solve(*args))
+        for k in (5, needed - 1):
+            calls.clear()
+            with pytest.raises(NoConvergence, match=f"after {k} iterations"):
+                solve_curve(b, z, SolverConfig(max_iterations=k))
+            assert len(calls) == k  # one Newton solve per column-iteration of the one-point block
+        assert solve_curve(b, z, SolverConfig(max_iterations=needed)).iterations[0] == needed
 
-    def test_a_ladder_restart_beside_direct_points_of_its_height(self):
-        # near the spectral edge 4.02 and 4.03 stall within 5 iterations and restart on
-        # the ladder, while the other points of Im z = 0.005 converge directly
+    def test_a_stalled_point_beside_converging_points_is_the_one_named(self):
+        # near the spectral edge 4.02 and 4.03 need more than 5 iterations, while
+        # the other points of Im z = 0.005 converge within them
         b = step_density([1.0, 3.0, 2.0], 16)
-        cfg = SolverConfig(max_iterations=5)
-        curve = solve_curve(b, np.array([-1.0, 0.5, 4.02, 4.03, 2.0]) + 0.005j, cfg)
-        assert (curve.iterations > cfg.max_iterations).tolist() == [False, False, True, True, False]
-        for z, s, its in zip(curve.z, curve.S, curve.iterations):
-            alone = solve_curve(b, [z], cfg)
-            assert its == alone.iterations[0]
-            assert abs(s - alone.S[0]) <= 10 * 1e-10
+        contour = np.array([-1.0, 0.5, 4.02, 4.03, 2.0]) + 0.005j
+        curve = solve_curve(b, contour)
+        assert (curve.iterations > 5).tolist() == [False, False, True, True, False]
+        with pytest.raises(NoConvergence, match=r"contour point z = 4\.02\+0\.005j: residual"):
+            solve_curve(b, contour, SolverConfig(max_iterations=5))
 
     @pytest.mark.parametrize(
         "make",
@@ -477,8 +435,7 @@ class TestSolveCurve:
 
     def test_readme_contour_column_iterations(self):
         # Newton steps in 3 unknowns at the target height take 495 from the
-        # mean-field start and took 764 from zero; the Anderson-mixed ladder
-        # took 6,874 and the plain ladder 14,914
+        # mean-field start and took 764 from zero
         curve = solve_curve(density_from_filter(MA3, 128), np.linspace(-9.0, 9.0, 121) + 0.05j)
         assert curve.iterations.sum() <= 600
 
@@ -497,7 +454,7 @@ class TestSolveCurve:
     def test_no_convergence_names_the_contour_point(self):
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
         # both points stall in the same iteration: the earlier one in the contour is named
-        with pytest.raises(NoConvergence, match=r"contour point z = 0\.5\+0\.05j: stage 1 at Im z"):
+        with pytest.raises(NoConvergence, match=r"contour point z = 0\.5\+0\.05j: residual [^ ]+ after 2 iterations"):
             solve_curve(step_density([0.5, 1.5, 1.0], 16), [0.5 + 0.05j, -0.5 + 0.05j], cfg)
 
     @pytest.mark.parametrize(
@@ -638,7 +595,7 @@ class TestSolveCurve:
         e = np.exp(2j * np.pi * x)
         band = DensityGrid(n, (np.abs(x[:, None] - x[None, :]) < 0.1).astype(float))
         ar = DensityGrid(n, 1.0 / np.abs(1.0 - 0.45 * e[:, None] - 0.45 * e[None, :]) ** 2)
-        for b, classes, iterations in [(band, 64, [954, 1020]), (ar, 128, [2817, 3357])]:
+        for b, classes, iterations in [(band, 64, [954, 1020]), (ar, 128, [2817, 3097])]:
             lumped = _row_classes(b.values)[2]
             assert len(lumped) == classes
             assert solver._factor(lumped, n) is None
@@ -686,6 +643,8 @@ class TestHerglotzCheck:
         "name, row, col, value, bound",
         [
             ("g", 1, 2, 0.3 - 0.1j, "Im g > 0"),
+            # Im(z + pi)/|z + pi|^2 is far from underflowing here, so a 0 is a failure
+            ("g", 1, 2, 0.3 + 0j, "Im g > 0"),
             ("g", 2, 0, 2.1j, r"\|g\| <= 1/Im z"),
             # beyond 1e-15 (1 + max|pi|) of its own row, within that of the first
             ("pi", 1, 3, 2.0 - 1e-10j, "Im pi >= 0"),
@@ -697,6 +656,18 @@ class TestHerglotzCheck:
         {"g": g, "pi": pi}[name][row, col] = value
         with pytest.raises(LsdlabError, match=bound):
             solver._check_herglotz(z, g, pi)
+
+    @pytest.mark.parametrize("z", [1e162 + 0.05j, -1e162 + 0.05j, 4.5 + 5e-324j])
+    def test_an_im_g_lost_to_underflow_is_bad_input(self, z):
+        # Im g = Im(z + pi)/|z + pi|^2 underflows far out on the axis, or outside the
+        # support at the least height; inside it, at 1.9 + 5e-324i, Im pi keeps Im g normal
+        b = density_from_filter(MA3, 16)
+        assert solve_curve(b, [1.9 + 5e-324j, 1e161 + 0.05j]).S.imag.min() > 0
+        message = f"contour point z = {z:.6g}: Im g = Im(z + pi)/|z + pi|^2 underflows float64"
+        with pytest.raises(InvalidInput, match=re.escape(message)):
+            solve_curve(b, [0.05j, z])
+        with pytest.raises(InvalidInput, match="underflows float64"):
+            solve_profile(b, z)
 
     def test_every_curve_point_is_checked(self, monkeypatch):
         checked = []
@@ -761,36 +732,47 @@ class TestProductForm:
             ProfileFunction(np.array([1.0, np.nan]))
         # the scalar stage itself stops at the first non-finite residual, on either sums
         for sums, _ in (solver._run_sums(((1.0, 1), (np.nan, 1)), 2), solver._array_sums(np.array([1.0, np.nan]))):
-            _, res, its, ok = solver._scalar_stage(sums, 2j, 0j, 1.0, 1e-10, 100)
+            _, res, its, ok = solver._scalar_solve(sums, 2j, 0j, 1.0, 1e-10, 100)
             assert not ok and its == 1 and np.isnan(res)
 
-    def test_stalled_certified_stage_retries_through_ladder(self):
-        # every point plans one direct stage first, which stalls within 3 iterations
+    def test_max_iterations_bounds_the_whole_scalar_solve(self, monkeypatch):
         t, z = profile_from_steps([0.0, 0.0, 0.0, 4.0], 8), 2.1j  # mean square 4, so certified
-        v0 = t.mean * solver._semicircle(t.mean**2, z)
-        assert not solver._scalar_stage(run_sums(t), z, v0, 1.0, 1e-10, 3)[3]
-        sol = solve_product_form(t, z, SolverConfig(max_iterations=3))
+        needed = solve_product_form(t, z).iterations
+        assert needed > 3
+        calls = []
+        run_sums = solver._run_sums
+
+        def counted(*args):
+            sums, transform = run_sums(*args)
+            return (lambda z, v: calls.append(None) or sums(z, v)), transform
+
+        monkeypatch.setattr(solver, "_run_sums", counted)
+        for k in (3, needed - 1):
+            calls.clear()
+            with pytest.raises(NoConvergence, match=f"contour point z = 0\\+2\\.1j: residual [^ ]+ after {k} iterations"):
+                solve_product_form(t, z, SolverConfig(max_iterations=k))
+            assert len(calls) == k
+        sol = solve_product_form(t, z, SolverConfig(max_iterations=needed))
+        assert sol.iterations == needed
         assert abs(sol.S - solve_profile(density_from_profile(t), z).S) < 1e-8
-        # the stalled attempt's 3 iterations, then the 4-stage ladder's 11
-        assert sol.iterations == 14
 
     def test_newton_point_below_the_axis_takes_the_damped_step(self):
         t = profile_from_steps([0.5, 1.5, 1.0], 16)
         z, damping = 1.6 + 0.01j, 0.5  # the direct stage is uncertified: half damping
-        v = solver._scalar_stage(run_sums(t), z, 0j, damping, 1e-10, 2)[0]  # two Newton steps
+        v = solver._scalar_solve(run_sums(t), z, 0j, damping, 1e-10, 2)[0]  # two Newton steps
         q = t.values / (z + t.values * v)
         f = -q.mean()
         assert (v - (v - f) / (1.0 - (q * q).mean())).imag < 0  # the third Newton point
-        step = solver._scalar_stage(run_sums(t), z, v, damping, 1e-10, 1)[0]
+        step = solver._scalar_solve(run_sums(t), z, v, damping, 1e-10, 1)[0]
         assert abs(step - ((1.0 - damping) * v + damping * f)) <= 1e-15 * abs(v)
         sol = solve_product_form(t, z)
-        assert sol.residual <= 1e-10 and sol.iterations == 5  # still on the direct stage
+        assert sol.residual <= 1e-10 and sol.iterations == 5
         assert abs(sol.S - solve_curve(density_from_profile(t), [z]).S[0]) <= 1e-8
 
     def test_points_near_the_axis_converge_without_a_ladder(self, monkeypatch):
         heights = []
-        stage = solver._scalar_stage
-        monkeypatch.setattr(solver, "_scalar_stage", lambda t, z, *rest: heights.append(z.imag) or stage(t, z, *rest))
+        stage = solver._scalar_solve
+        monkeypatch.setattr(solver, "_scalar_solve", lambda t, z, *rest: heights.append(z.imag) or stage(t, z, *rest))
         t = profile_from_steps([0.5, 1.5, 1.0], 64)
         for x in np.linspace(-3.0, 3.0, 13):
             assert solve_product_form(t, x + 0.05j).residual <= 1e-10
@@ -813,7 +795,7 @@ class TestProductForm:
         ids=["below-the-axis", "on-the-axis", "too-large"],
     )
     def test_postconditions_check_the_scalar_stage(self, monkeypatch, v, bound):
-        monkeypatch.setattr(solver, "_scalar_stage", lambda *args: (v, 0.0, 1, True))
+        monkeypatch.setattr(solver, "_scalar_solve", lambda *args: (v, 0.0, 1, True))
         with pytest.raises(LsdlabError, match=bound):
             solve_product_form(profile_from_steps([1.0], 8), 1j)
 

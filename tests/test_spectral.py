@@ -520,7 +520,7 @@ VALUES = {
     "SolverConfig": (lambda: SolverConfig(tolerance=1e-8), ("tolerance", "max_iterations")),
     "ResolventProfile": (
         lambda: ResolventProfile(z=1j, g=np.full(4, 0.5j), pi=np.full(4, 0.5j), iterations=3, residual=1e-12),
-        ("z", "g", "pi", "S", "iterations", "residual", "residual_history", "stages"),
+        ("z", "g", "pi", "S", "iterations", "residual", "residual_history"),
     ),
     "ScalarSolution": (lambda: ScalarSolution(1j, 0.5j, 0.25j, 2, 1e-12), ("z", "v", "S", "iterations", "residual")),
     "EnsembleConfig": (
