@@ -9,29 +9,36 @@ by iteration on the self-energy pi = (1/N) b g. The map
 pi <- -(1/N) sum_j b[., j]/(z + pi[j]) preserves Im pi >= 0 and hence
 |z + pi| >= Im z, so every iterate satisfies the Herglotz bounds Im g > 0
 and |g| <= 1/Im z. It contracts a priori with factor B/(Im z)^2, B the grid
-mass, so a point at height h is certified when B < h^2.
+mass, so a stage at height h is certified when B < h^2.
 
 Every point starts from the mean-field self-energy pi0 = rowmean(b) S_sc(z),
 S_sc the semicircle transform of mass B: the exact solution for a constant
 density. The solution in the upper half-plane is unique (Helton, Rashidi Far
 & Speicher, IMRN 2007), so this start reaches the same fixed point as any
-other there, in fewer iterations. Each point is solved at its own height,
-with no continuation in Im z, within max_iterations iterations in all
-(convergence below sqrt(B) is empirical, not certified).
+other there, in fewer iterations. Each point first runs one direct stage
+at its own height with the whole max_iterations budget (convergence below
+sqrt(B) is empirical, not certified). Only a direct stage that runs out or
+turns non-finite restarts, from the mean-field start, on a ladder from
+max(Im z, 2 sqrt(B + 1)), where the factor is below 1/4, that lowers Im z
+by _LADDER_FACTOR and warm-starts each stage, each with its own budget.
+Stages above the target only seed the next one, so they stop at the loose
+residual max(_LADDER_TOLERANCE, tolerance). The ladder solves points where
+the direct stage's Newton points run off or its Anderson mixing cycles, as
+on sparse 0/1 densities near the axis.
 
-Each iteration forms the damped step f = d ((1/N) b g - pi) once, d = 1 at
-certified points and 1/2 at the others (_damping). Certified points take the
-plain update pi + f, whose rate the certificate bounds. The others accelerate
-it with Anderson mixing of depth 1 on that f (Walker & Ni, SIAM J. Numer.
-Anal. 2011): with df and dpi the differences from the previous iteration, a
-column takes (pi + f) - gamma (dpi + df), gamma = <df, f>/<df, df>, only if
-it keeps Im pi >= 0.
+Each iteration forms the damped step f = d ((1/N) b g - pi) once, d = 1 in
+certified stages and 1/2 in the others (_damping). Certified stages take
+the plain update pi + f, whose rate the certificate bounds. The others
+accelerate it with Anderson mixing of depth 1 on that f (Walker & Ni, SIAM
+J. Numer. Anal. 2011): with df and dpi the differences from the stage's
+previous iteration, a column takes (pi + f) - gamma (dpi + df),
+gamma = <df, f>/<df, df>, only if it keeps Im pi >= 0.
 
 The unknowns are lumped onto the row classes of spectral._row_classes, K in
 all, and a contour is one K x P block, a column per point with its own
-height and damping: one iteration is one real K x K matrix product for the
-whole contour, S and the inner products weight a class by its size, and the
-residual, a max over classes, is that of the full b.
+height, damping and tolerance: one iteration is one real K x K matrix
+product for the whole contour, S and the inner products weight a class by
+its size, and the residual, a max over classes, is that of the full b.
 When the lumped b/N = U W has rank r <= _NEWTON_MAX_RANK, solve_curve takes
 Newton steps instead, to pif - U J^-1 W (g^2 (pi - pif)), pif = (1/N) b g,
 with the r x r Jacobian J = I - W diag(g^2) U: for pi = U c the step
@@ -43,7 +50,8 @@ own column.
 
 The product form b = t(x) t(y) reduces to one scalar equation in v, with
 pi = t v, solved by Newton steps on v - f(v), f(v) = -mean(t/(z + t v)),
-with the damped step of the same rule where a Newton point fails. When t
+with the damped step of the same rule where a Newton point fails, in one
+stage at the point's own height: it needs no ladder. When t
 has at most _SCALAR_MAX_RUNS runs (t_k, m_k) of equal values, f and f' are
 Python complex sums of one term per run, else numpy sums over N.
 """
@@ -74,7 +82,7 @@ __all__ = [
 
 
 class SolverConfig(_Value):
-    """Residual target and iteration budget of each point's solve; the solver chooses the rest."""
+    """Residual target and iteration budget of each stage; the solver chooses the rest."""
 
     _fields = ("tolerance", "max_iterations")
 
@@ -93,7 +101,8 @@ class ResolventProfile(_Value):
     """Converged profile g(., z) with its self-energy, transform and diagnostics.
 
     ``pi`` = (1/N) b g of the returned g, ``residual`` = max_i |g[i] + 1/(z + pi[i])|,
-    and ``residual_history`` is the residual of every iteration.
+    ``iterations`` counts every stage, and ``residual_history`` holds the
+    residual of every iteration of the last one.
     """
 
     _fields = ("z", "g", "pi", "S", "iterations", "residual", "residual_history")
@@ -200,6 +209,10 @@ def continuity_bound(b1, b2, z):
 # _factor); above it the block runs the plain map: on 61-point contours the
 # two broke even near r = 32 at N = 128 and r = 43 at N = 256.
 _NEWTON_MAX_RANK = 32
+# The ladder lowers Im z by this factor per stage, and its stages above the
+# target stop at this residual (or the tolerance, if looser).
+_LADDER_FACTOR = 0.7
+_LADDER_TOLERANCE = 1e-4
 # Profiles of up to this many runs of equal values take the scalar solve's
 # sums as one Python term per run; longer ones take numpy over all N entries,
 # whose call overhead a long Python sum outgrows: one solve broke even near
@@ -207,16 +220,18 @@ _NEWTON_MAX_RANK = 32
 _SCALAR_MAX_RUNS = 16
 
 
-def _no_convergence(z, residual, iterations):
+def _no_convergence(z, residual, iterations, height=None):
+    """NoConvergence of point z after a stage of so many iterations; ``height`` names a ladder stage."""
+    where = "" if height is None else f" on the ladder at Im z = {height:.6g}"
     return NoConvergence(
-        f"contour point z = {z:.6g}: residual {residual:.3e} after {iterations} iterations",
-        height=z.imag,
+        f"contour point z = {z:.6g}: residual {residual:.3e}{where} after {iterations} iterations",
+        height=z.imag if height is None else height,
         residual=residual,
     )
 
 
 def _damping(mass, h):
-    """Damping d of the step f = d (pif - pi) at height h: 1 where certified (B < h^2), else 1/2."""
+    """Damping d of the step f = d (pif - pi) in a stage at height h: 1 where certified (B < h^2), else 1/2."""
     return 1.0 if mass < h * h else 0.5  # compared, not divided: h * h is 0 below about 1.5e-162
 
 
@@ -262,12 +277,12 @@ def _newton_solve(jacs, rhs):
 def _solve_block(b, zs, cfg, newton=False):
     """Solve every point of zs as one column of a K x P block fixed point.
 
-    A column leaves the block once its point converges. ``newton`` asks for
-    Newton steps, which the block takes when _factor finds a low rank. The
-    Herglotz postcondition is checked once, on every point. Returns per point
-    of zs its S, column-iterations, final residual and residual of every
-    iteration, then (g, pi) of the contour's first point on all N rows: a
-    one-column call's profile.
+    A column leaves the block once its point converges at its own height.
+    ``newton`` asks for Newton steps, which the block takes when _factor
+    finds a low rank. The Herglotz postcondition is checked once, on every
+    point. Returns per point of zs its S, column-iterations over all stages,
+    final residual and the residuals of its last stage, then (g, pi) of the
+    contour's first point on all N rows: a one-column call's profile.
     """
     n, mass = b.n, b.mass
     labels, sizes, bvals = _row_classes(b.values)
@@ -284,17 +299,25 @@ def _solve_block(b, zs, cfg, newton=False):
         jac = (W[:, None, :] * U.T[None, :, :]).reshape(r * r, classes)
         eye = np.eye(r)
     size = len(zs)
-    history = [[] for _ in range(size)]  # per point, the residual of each of its iterations
-    # per column, each a vector of the block's width: the point it solves, its z and its damping d
+    # per point, its column-iterations over all stages and the residuals of its current stage
+    count = np.zeros(size, dtype=np.int64)
+    history = [[] for _ in range(size)]
+    # per column, each a vector of the block's width: the point it solves, the z, damping d
+    # and tolerance of its stage, the iteration at which that stage began and whether the
+    # point is on the ladder
     point = np.arange(size)
     z = zs.astype(complex)
     damp = np.array([_damping(mass, h) for h in zs.imag.tolist()])
+    tol = np.full(size, cfg.tolerance)
+    start = np.zeros(size, dtype=np.int64)
+    ladder = np.zeros(size, dtype=bool)
     # K x P blocks of pi and of the previous step f and update G of the Anderson
     # mixing (or the Newton point); g and pi of each point as its column leaves
     pi, fp, gp = np.zeros((3, classes, size), dtype=complex)
     gs, pis = np.empty((2, size, classes), dtype=complex)
     np.multiply.outer(rowmean, _semicircle(mass, z), out=pi)
-    tol, budget = cfg.tolerance, cfg.max_iterations
+    budget = deadline = cfg.max_iterations
+    top = 2.0 * np.sqrt(mass + 1.0)  # the ladder's top: there B/(Im z)^2 is below 1/4
     width = it = 0
     while point.size:
         if width != point.size:
@@ -337,7 +360,7 @@ def _solve_block(b, zs, cfg, newton=False):
             # the damped step f = d (pif - pi) of every column, in w, and G = pi + f
             np.subtract(pif_r, pi_r, out=w_r)
             w *= damp
-            mixed = damp < 1  # columns whose point lies outside the certified region
+            mixed = damp < 1  # columns whose stage lies outside the certified region
             mixing = not newton and mixed.any()
             if mixing:
                 # Anderson(1) weight gamma = <df, f>/<df, df> of each column, from f
@@ -357,33 +380,55 @@ def _solve_block(b, zs, cfg, newton=False):
                 np.copyto(pi, fp, where=take)
             elif mixing:
                 # candidate G - gamma (dpi + df), where dpi + df = G - G_prev, for the
-                # uncertified columns once they have a previous step
+                # uncertified columns with a previous step in their stage
                 np.subtract(pi_r, gp_r, out=w_r)
                 gp[...] = pi
-                take = mixed & (it >= 2) & (den > 0)
+                take = mixed & (it - start >= 2) & (den > 0)
                 w *= np.divide(num, den, out=np.zeros_like(num), where=take)
                 np.subtract(pi_r, w_r, out=w_r)
                 take &= (w.imag >= 0).all(axis=0)
                 np.copyto(pi, w, where=take)
         # one reduction catches converged columns and NaN residuals alike
-        if it < budget and (res > tol).all():
+        if it < deadline and (res > tol).all():
             continue
         done = res <= tol
-        stuck = ~(res < np.inf) | (~done & (it >= budget))
-        if stuck.any():
-            k = int(stuck.argmax())
-            raise _no_convergence(complex(zs[points[k]]), float(res[k]), it)
-        finished = np.flatnonzero(done)
-        gs[point[finished]] = g[:, finished].T
-        pis[point[finished]] = pif[:, finished].T
-        keep = np.flatnonzero(~done)
-        point, z, damp = (a[keep] for a in (point, z, damp))
-        # take, not a[:, keep]: that can be non-contiguous, which the float64 views refuse
-        pi, fp, gp = (a.take(keep, axis=1) for a in (pi, fp, gp))
+        finished = []
+        for k in np.flatnonzero(done | ~(res < np.inf) | (it - start >= budget)).tolist():
+            p = points[k]
+            h, target = float(z[k].imag), float(zs[p].imag)
+            if done[k] and h == target:
+                finished.append(k)
+                continue
+            if done[k]:
+                # a ladder stage above the target only seeds the next, lower one
+                pi[:, k] = pif[:, k]
+                h = max(h * _LADDER_FACTOR, target)
+            elif not ladder[k] and top > target:
+                # a direct stage that ran out or turned non-finite restarts from
+                # the mean-field start at the ladder's top
+                ladder[k] = True
+                h = top
+                pi[:, k] = rowmean * _semicircle(mass, complex(zs[p].real, h))
+            else:
+                raise _no_convergence(complex(zs[p]), float(res[k]), it - int(start[k]), h if ladder[k] else None)
+            z[k] = complex(zs[p].real, h)
+            damp[k] = _damping(mass, h)
+            tol[k] = cfg.tolerance if h == target else max(_LADDER_TOLERANCE, cfg.tolerance)
+            start[k] = it  # a new stage also resets the column's mixing history
+            history[p] = []
+        if finished:
+            count[point[finished]] = it
+            gs[point[finished]] = g[:, finished].T
+            pis[point[finished]] = pif[:, finished].T
+            keep = np.delete(np.arange(width), finished)
+            point, z, damp, tol, start, ladder = (a[keep] for a in (point, z, damp, tol, start, ladder))
+            # take, not a[:, keep]: that can be non-contiguous, which the float64 views refuse
+            pi, fp, gp = (a.take(keep, axis=1) for a in (pi, fp, gp))
+        deadline = int(start.min(initial=it)) + budget
     _check_herglotz(zs, gs, pis)
     S = (gs * m.T).sum(axis=1) / n
     profile = gs[0][labels], pis[0][labels]
-    return S, [len(trace) for trace in history], [trace[-1] for trace in history], history, profile
+    return S, count.tolist(), [trace[-1] for trace in history], history, profile
 
 
 def solve_profile(b, z, cfg=None):
@@ -400,8 +445,8 @@ def solve_profile(b, z, cfg=None):
 def measured_decay_ratio(profile):
     """Geometric-mean residual decay over the last 10 iterations.
 
-    This is the decay of the plain damped map only where the point is
-    certified (B/(Im z)^2 < 1); elsewhere the map is Anderson-mixed.
+    This is the decay of the plain damped map only when the last stage is
+    certified (B/(Im z)^2 < 1); uncertified stages are Anderson-mixed.
     """
     h = np.asarray(profile.residual_history, dtype=float)
     h = h[h > 0]
@@ -415,9 +460,10 @@ def solve_curve(b, contour, cfg=None):
     """Solve S(z) along a contour as one block fixed point.
 
     Columns are independent: a point's S (up to rounding) and ``iterations``
-    (its own column-iterations) match a solve of that point alone. Points
-    come back in contour order. NoConvergence names the first point to fail,
-    ties going to the earlier point of the contour.
+    (its own column-iterations over all stages, the direct stage that ran
+    out included) match a solve of that point alone. Points come back in
+    contour order. NoConvergence names the first point to fail, ties going
+    to the earlier point of the contour.
     """
     zs = _upper_half_plane(np.ravel(contour))
     if not zs.size:
@@ -506,9 +552,9 @@ def _scalar_solve(sums, z, v, damping, tol, max_iter):
 def solve_product_form(t, z, cfg=None):
     """Solve the scalar reduction for a rank-one density b(x, y) = t(x) t(y).
 
-    It damps as the block does, with mean(t^2), which dominates the rank-one
-    grid mass, as the mass, and starts from v0 = mean(t) S_sc(z; mean(t)^2):
-    the block's start pi0 = t v0.
+    One stage at z with the whole budget. It damps as the block does, with
+    mean(t^2), which dominates the rank-one grid mass, as the mass, and
+    starts from v0 = mean(t) S_sc(z; mean(t)^2): the block's start pi0 = t v0.
     """
     cfg = cfg or DEFAULT_CONFIG
     z = _upper_half_plane(z)

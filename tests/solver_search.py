@@ -10,7 +10,8 @@ point. One line per draw gives the kind, N, mass, heights, the row classes
 K, the factor rank r (``full`` past the Newton limit), the column-iterations
 of the points that converged and the indices of those that raised an
 LsdlabError, with the first message. The run ends with one JSON line of
-totals per kind, and exits 1 if any point failed.
+totals per kind, and exits 1 if any point failed or, for a run PINNED
+holds, if its per-kind totals differ from the pinned ones.
 
 Modes:
 - ``absolute``: random symmetric, random asymmetric, band, rank <= 5 and AR
@@ -35,6 +36,26 @@ from lsdlab import DensityGrid, LsdlabError, solve_curve, solve_profile, solver
 from lsdlab.spectral import _row_classes, midpoints
 
 ABSOLUTE_KINDS = ("symmetric", "asymmetric", "band", "low-rank", "ar")
+# per (mode, seed, draws, plain), the per-kind (failed points, column-iterations) of
+# that run; a change to the solver's arithmetic moves them, so they are re-pinned with it
+PINNED = {
+    ("absolute", 7, 150, False): {
+        "symmetric": (0, 21843),
+        "asymmetric": (0, 21724),
+        "band": (0, 13033),
+        "low-rank": (0, 6169),
+        "ar": (0, 12666),
+    },
+    ("absolute", 7, 10, False): {
+        "symmetric": (0, 1687),
+        "asymmetric": (0, 1372),
+        "band": (0, 332),
+        "low-rank": (0, 363),
+        "ar": (0, 1251),
+    },
+    ("hard", 7, 4, False): {"spike": (0, 674), "sparse": (0, 5177)},
+    ("hard", 7, 4, True): {"spike": (0, 1426), "sparse": (0, 5177)},
+}
 POINTS = 41
 # (N, b[0, 0]) of each spike density: mass 1 with row mean 100, and mass 0.183 with row mean 23.4
 SPIKES = ((100, 1e4), (128, 3000.0))
@@ -114,6 +135,11 @@ def search(mode, seed, draws, plain=False, out=print):
     return totals
 
 
+def summary(totals):
+    """Per kind, (failed points, column-iterations) of search's totals: the form PINNED holds."""
+    return {kind: (total["failed"], total["column_iterations"]) for kind, total in totals.items()}
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--mode", choices=("absolute", "hard"), default="absolute")
@@ -124,6 +150,10 @@ def main(argv=None):
     totals = search(args.mode, args.seed, args.draws, args.plain)
     for kind, total in totals.items():
         print(json.dumps({"mode": args.mode, "seed": args.seed, "plain": args.plain, "kind": kind, **total}))
+    pinned = PINNED.get((args.mode, args.seed, args.draws, args.plain))
+    if pinned is not None and pinned != summary(totals):
+        print(f"totals differ from PINNED: {pinned}", file=sys.stderr)
+        return 1
     return 1 if any(total["failed"] for total in totals.values()) else 0
 
 

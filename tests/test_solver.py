@@ -228,21 +228,46 @@ class TestSolveProfile:
         with pytest.raises(InvalidInput):
             solve_profile(constant_density(1.0), 1.0 + 0j)
 
-    def test_no_convergence_reports_height_and_residual(self):
+    def test_no_convergence_reports_stage(self):
+        # the direct stage runs out, the ladder's top stage meets its loose tolerance
+        # and the next one runs out: that one is named
+        b = step_density([0.5, 1.5, 1.0], 64)
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
-        with pytest.raises(NoConvergence, match="after 2 iterations") as info:
-            solve_profile(step_density([0.5, 1.5, 1.0], 64), 0.3 + 0.05j, cfg)
-        assert info.value.height == 0.05
+        with pytest.raises(NoConvergence, match=r"on the ladder at Im z = 1\.98765 after 2 iterations") as info:
+            solve_profile(b, 0.3 + 0.05j, cfg)
+        assert info.value.height == 2.0 * np.sqrt(b.mass + 1.0) * solver._LADDER_FACTOR
         assert info.value.residual > 1e-14
 
     def test_direct_stage_converges_below_sqrt_mass(self):
         prof = solve_profile(step_density([1.0, 3.0, 2.0], 64), 0.1j)
         assert prof.residual <= 1e-10
-        # the history holds every iteration of the point's one run at its own height
+        # the history holds every iteration of the point's one stage, at its own height
         assert len(prof.residual_history) == prof.iterations
+
+    def test_continuation_engages_below_sqrt_mass(self):
+        # the point needs 22 iterations at its own height, so a budget of 20 sends it to the ladder
+        b = full_rank_density(np.random.default_rng(41), 48, 4.0)
+        z = -3.0 + 0.1j
+        direct = solve_profile(b, z)
+        assert direct.iterations == 22
+        prof = solve_profile(b, z, SolverConfig(max_iterations=20))
+        assert prof.iterations > 20 + len(prof.residual_history)  # the last stage's history only
+        assert prof.residual <= 1e-10
+        assert abs(prof.S - direct.S) <= 10 * 1e-10
 
 
 class TestContraction:
+    def test_ladder_starts_where_the_certificate_is_below_a_quarter(self):
+        b = step_density([0.5, 1.5, 1.0], 16)
+        cfg = SolverConfig(tolerance=1e-14, max_iterations=1)
+        for target in (0.05, 1.0, 10.0):
+            with pytest.raises(NoConvergence) as info:
+                solve_profile(b, 0.3 + 1j * target, cfg)
+            # a direct stage that runs out restarts on the ladder, unless its height is already the top
+            top = max(target, 2.0 * np.sqrt(b.mass + 1.0))
+            assert info.value.height == top and b.mass / top**2 < 0.25
+            assert ("on the ladder" in str(info.value)) == (top > target)
+
     def test_certificate_value(self):
         assert contraction_certificate(constant_density(1.0, 8), 2j) == pytest.approx(0.25)
 
@@ -388,31 +413,51 @@ class TestSolveCurve:
         assert curve.iterations.sum() <= 500
         assert curve.residuals.max() <= 1e-10
 
-    def test_max_iterations_bounds_a_points_whole_solve(self, monkeypatch):
-        # near the spectral edge the point needs more than 5 Newton iterations
+    def test_loose_inner_stages_save_iterations(self, monkeypatch):
+        # a full-rank grid runs the N x N map; with a budget of 20 its points take the ladder
+        b = full_rank_density(np.random.default_rng(41), 48, 4.0)
+        assert solver._factor(b.values, b.n) is None
+        contour = np.linspace(-3.0, 3.0, 13) + 0.1j  # below sqrt(mass) = 2
+        cfg = SolverConfig(max_iterations=20)
+        assert solve_curve(b, contour).iterations.max() > cfg.max_iterations
+        loose = solve_curve(b, contour, cfg)
+        monkeypatch.setattr(solver, "_LADDER_TOLERANCE", 0.0)  # every stage to full tolerance
+        full = solve_curve(b, contour, cfg)
+        assert loose.iterations.sum() < full.iterations.sum()
+        assert np.abs(loose.S - full.S).max() <= 10 * 1e-10
+
+    def test_a_point_that_converges_directly_builds_no_ladder(self, monkeypatch):
+        # at this factor the ladder to Im z = 0.05 at mass 3 has 43,820 stages
+        b = constant_density(3.0, 16)
+        contour = np.linspace(-2.0, 2.0, 5) + 0.05j
+        direct = solve_curve(b, contour)
+        monkeypatch.setattr(solver, "_LADDER_FACTOR", 0.9999)
+        fine = solve_curve(b, contour)
+        assert np.array_equal(fine.S, direct.S)
+        assert np.array_equal(fine.iterations, direct.iterations)
+
+    def test_stalled_direct_stage_restarts_through_ladder(self):
+        # near the spectral edge the point needs 6 Newton iterations at its own height
         b = step_density([1.0, 3.0, 2.0], 16)
         z = [4.02 + 0.005j]
-        needed = int(solve_curve(b, z).iterations[0])
-        assert needed > 5
-        calls = []
-        newton_solve = solver._newton_solve
-        monkeypatch.setattr(solver, "_newton_solve", lambda *args: calls.append(None) or newton_solve(*args))
-        for k in (5, needed - 1):
-            calls.clear()
-            with pytest.raises(NoConvergence, match=f"after {k} iterations"):
-                solve_curve(b, z, SolverConfig(max_iterations=k))
-            assert len(calls) == k  # one Newton solve per column-iteration of the one-point block
-        assert solve_curve(b, z, SolverConfig(max_iterations=needed)).iterations[0] == needed
+        assert solve_curve(b, z).iterations[0] == 6
+        cfg = SolverConfig(max_iterations=5)
+        stalled = solve_curve(b, z, cfg)
+        assert abs(stalled.S[0] - solve_curve(b, z).S[0]) <= 10 * 1e-10
+        # the direct stage's 5 iterations, then the ladder's
+        assert stalled.iterations[0] == 58
 
-    def test_a_stalled_point_beside_converging_points_is_the_one_named(self):
-        # near the spectral edge 4.02 and 4.03 need more than 5 iterations, while
-        # the other points of Im z = 0.005 converge within them
+    def test_a_ladder_restart_beside_direct_points_of_its_height(self):
+        # near the spectral edge 4.02 and 4.03 stall within 5 iterations and restart on
+        # the ladder, while the other points of Im z = 0.005 converge directly
         b = step_density([1.0, 3.0, 2.0], 16)
-        contour = np.array([-1.0, 0.5, 4.02, 4.03, 2.0]) + 0.005j
-        curve = solve_curve(b, contour)
-        assert (curve.iterations > 5).tolist() == [False, False, True, True, False]
-        with pytest.raises(NoConvergence, match=r"contour point z = 4\.02\+0\.005j: residual"):
-            solve_curve(b, contour, SolverConfig(max_iterations=5))
+        cfg = SolverConfig(max_iterations=5)
+        curve = solve_curve(b, np.array([-1.0, 0.5, 4.02, 4.03, 2.0]) + 0.005j, cfg)
+        assert (curve.iterations > cfg.max_iterations).tolist() == [False, False, True, True, False]
+        for z, s, its in zip(curve.z, curve.S, curve.iterations):
+            alone = solve_curve(b, [z], cfg)
+            assert its == alone.iterations[0]
+            assert abs(s - alone.S[0]) <= 10 * 1e-10
 
     @pytest.mark.parametrize(
         "make",
@@ -454,7 +499,7 @@ class TestSolveCurve:
     def test_no_convergence_names_the_contour_point(self):
         cfg = SolverConfig(tolerance=1e-14, max_iterations=2)
         # both points stall in the same iteration: the earlier one in the contour is named
-        with pytest.raises(NoConvergence, match=r"contour point z = 0\.5\+0\.05j: residual [^ ]+ after 2 iterations"):
+        with pytest.raises(NoConvergence, match=r"contour point z = 0\.5\+0\.05j: residual [^ ]+ on the ladder"):
             solve_curve(step_density([0.5, 1.5, 1.0], 16), [0.5 + 0.05j, -0.5 + 0.05j], cfg)
 
     @pytest.mark.parametrize(
@@ -758,7 +803,7 @@ class TestProductForm:
 
     def test_newton_point_below_the_axis_takes_the_damped_step(self):
         t = profile_from_steps([0.5, 1.5, 1.0], 16)
-        z, damping = 1.6 + 0.01j, 0.5  # the direct stage is uncertified: half damping
+        z, damping = 1.6 + 0.01j, 0.5  # the point is uncertified: half damping
         v = solver._scalar_solve(run_sums(t), z, 0j, damping, 1e-10, 2)[0]  # two Newton steps
         q = t.values / (z + t.values * v)
         f = -q.mean()

@@ -1,22 +1,40 @@
-from solver_search import draw, search
-
-# per kind, (failed points, column-iterations) of the first draws of seed 7
-ABSOLUTE = {"symmetric": (0, 1687), "asymmetric": (0, 1372), "band": (0, 332), "low-rank": (0, 363), "ar": (0, 1251)}
-HARD = {"spike": (0, 674), "sparse": (0, 5177)}
+import solver_search
+from solver_search import PINNED, draw, main, search, solve_draw, summary
 
 
 def totals(mode, draws, lines):
-    return {kind: (t["failed"], t["column_iterations"]) for kind, t in search(mode, 7, draws, out=lines.append).items()}
+    return summary(search(mode, 7, draws, out=lines.append))
 
 
 def test_a_slice_of_the_search_solves_every_point_and_repeats_its_counts():
     lines = []
-    assert totals("absolute", 10, lines) == ABSOLUTE
-    assert totals("hard", 4, lines) == HARD
+    assert totals("absolute", 10, lines) == PINNED["absolute", 7, 10, False]
+    assert totals("hard", 4, lines) == PINNED["hard", 7, 4, False]
     # a draw depends on its seed and index alone, so a shorter run repeats the first lines
     again = []
     assert totals("absolute", 1, again) == {"symmetric": (0, 831)}
     assert again == lines[:1]
+
+
+def test_the_script_exits_1_where_a_pinned_run_moves(monkeypatch, capsys):
+    # --plain solves each point with solve_profile, which never takes Newton steps
+    argv = ["--mode", "hard", "--seed", "7", "--draws", "4", "--plain"]
+    assert main(argv) == 0
+    spike, sparse = PINNED["hard", 7, 4, True].values()
+    monkeypatch.setitem(solver_search.PINNED, ("hard", 7, 4, True), {"spike": spike, "sparse": (0, sparse[1] + 1)})
+    assert main(argv) == 1
+    assert "totals differ from PINNED" in capsys.readouterr().err
+
+
+def test_points_whose_direct_stage_fails_converge_on_the_ladder():
+    # sparse 0/1 densities of hard mode at seed 7: at draw 7's point 39 (N = 23, rank 23,
+    # z = 1.33e-6 i) a Newton point runs off to a residual of 6e5; at draw 13's point 6
+    # (N = 27, z = 0.0178 i) the plain map's Anderson(1) falls into a period-3 cycle
+    for index, k, plain in ((7, 39, False), (13, 6, True)):
+        _, b, zs = draw("hard", 7, index)
+        iterations, failed = solve_draw(b, zs[k : k + 1], plain)
+        assert failed == []
+        assert iterations > 10_000  # the direct stage's whole budget, then the ladder's stages
 
 
 def test_draws_cover_every_kind_with_their_ranges():
